@@ -11,6 +11,18 @@
 //! a mutable [`EventQueue`] through which it may schedule more events. No
 //! `Rc<RefCell<…>>` webs, no trait-object callbacks.
 //!
+//! # The lane
+//!
+//! A world may also keep one self-perpetuating event stream — an
+//! open-loop arrival process, say — *outside* the queue. Each firing
+//! reserves the stream's next instant with [`EventQueue::reserve_lane_in`],
+//! which takes a `(time, seq)` key from the queue's own sequence counter
+//! exactly as [`EventQueue::schedule_in`] would, and parks it in a single
+//! slot. The run loop merges that key with the queue front under the same
+//! total order and calls [`World::handle_lane`] when it wins. Keys are
+//! unique, so a lane-driven stream fires in exactly the order it would
+//! have as ordinary events; it just skips a push and a pop per firing.
+//!
 //! # Example
 //!
 //! ```
@@ -55,6 +67,17 @@ pub trait World: Sized {
     /// assume any particular ordering among events scheduled for the same
     /// instant other than insertion order.
     fn handle(&mut self, now: Nanos, event: Self::Event, queue: &mut EventQueue<Self::Event>);
+
+    /// Handles one firing of the lane (see the [module docs](self)) at
+    /// simulated time `now`. The lane is empty on entry; a stream that
+    /// continues reserves its next instant through `queue`.
+    ///
+    /// Only worlds that call [`EventQueue::reserve_lane_at`] or
+    /// [`EventQueue::reserve_lane_in`] are ever asked to handle the lane.
+    fn handle_lane(&mut self, now: Nanos, queue: &mut EventQueue<Self::Event>) {
+        let _ = (now, queue);
+        unreachable!("the lane fired in a world that never reserved it");
+    }
 }
 
 /// The pending-event queue handed to [`World::handle`].
@@ -66,10 +89,13 @@ pub trait World: Sized {
 /// Storage is a [`CalendarQueue`] (see [`crate::calendar`]): events are
 /// keyed by `(time, seq)` packed into a `u128`, and the wheel pops keys
 /// in the same strictly ascending order the previous binary heap did,
-/// with O(1) amortised push/pop instead of O(log n).
+/// with O(1) amortised push/pop instead of O(log n). The lane's reserved
+/// key, if any, sits beside the calendar and counts as one pending event.
 #[derive(Default)]
 pub struct EventQueue<E> {
     cal: CalendarQueue<E>,
+    /// The lane's next `(time, seq)` key.
+    lane: Option<u128>,
     seq: u64,
     now: Nanos,
 }
@@ -79,6 +105,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             cal: CalendarQueue::new(),
+            lane: None,
             seq: 0,
             now: Nanos::ZERO,
         }
@@ -93,6 +120,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             cal: CalendarQueue::with_capacity(capacity),
+            lane: None,
             seq: 0,
             now: Nanos::ZERO,
         }
@@ -103,13 +131,14 @@ impl<E> EventQueue<E> {
         self.cal.reserve(additional);
     }
 
-    /// Clears pending events and rewinds the clock and sequence counter
-    /// to zero, keeping the calendar queue's allocations (see
+    /// Clears pending events (the lane too) and rewinds the clock and
+    /// sequence counter to zero, keeping the calendar queue's allocations (see
     /// [`CalendarQueue::reset`]). A reset queue behaves exactly like a
     /// fresh one, which is what lets world arenas recycle it across
     /// simulations without perturbing determinism.
     pub fn reset(&mut self) {
         self.cal.reset();
+        self.lane = None;
         self.seq = 0;
         self.now = Nanos::ZERO;
     }
@@ -119,14 +148,27 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events, a reserved lane instant included.
     pub fn len(&self) -> usize {
-        self.cal.len()
+        self.cal.len() + usize::from(self.lane.is_some())
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are pending and the lane is empty.
     pub fn is_empty(&self) -> bool {
-        self.cal.is_empty()
+        self.cal.is_empty() && self.lane.is_none()
+    }
+
+    /// Takes the next sequence number for an event at `at`.
+    #[inline]
+    fn next_key(&mut self, at: Nanos) -> u128 {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at}, now={}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        key(at, seq)
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -136,14 +178,8 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current time.
     #[inline]
     pub fn schedule_at(&mut self, at: Nanos, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at}, now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.cal.push(key(at, seq), event);
+        let key = self.next_key(at);
+        self.cal.push(key, event);
     }
 
     /// Schedules `event` after a relative `delay`.
@@ -153,47 +189,94 @@ impl<E> EventQueue<E> {
         self.schedule_at(at, event);
     }
 
-    /// The instant of the next pending event, if any. Takes `&mut self`
-    /// because finding the front may advance the wheel cursor; the
-    /// visible state (pending events, `now`) is unchanged.
+    /// Reserves the lane's next firing at the absolute instant `at`
+    /// (see the [module docs](self)). The key takes the next sequence
+    /// number, exactly as [`schedule_at`](Self::schedule_at) would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time or the lane
+    /// already holds a reserved instant.
+    #[inline]
+    pub fn reserve_lane_at(&mut self, at: Nanos) {
+        assert!(self.lane.is_none(), "the lane is already reserved");
+        self.lane = Some(self.next_key(at));
+    }
+
+    /// Reserves the lane's next firing after a relative `delay`.
+    #[inline]
+    pub fn reserve_lane_in(&mut self, delay: Nanos) {
+        let at = self.now.saturating_add(delay);
+        self.reserve_lane_at(at);
+    }
+
+    /// The instant of the next pending event or lane firing, if any.
+    /// Takes `&mut self` because finding the front may advance the wheel
+    /// cursor; the visible state (pending events, `now`) is unchanged.
     #[inline]
     pub fn peek_at(&mut self) -> Option<Nanos> {
-        self.cal.peek_key().map(key_time)
+        let front = match (self.cal.peek_key(), self.lane) {
+            (Some(k), Some(lane)) => Some(k.min(lane)),
+            (k, lane) => k.or(lane),
+        };
+        front.map(key_time)
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.cal.pop().map(|(key, event)| {
-            let at = key_time(key);
-            debug_assert!(at >= self.now);
-            self.now = at;
-            (at, event)
-        })
+    fn pop(&mut self) -> Option<Due<E>> {
+        self.pop_due(Nanos::MAX)
     }
 
-    /// Pops the next event iff it is due at or before `deadline` — a
-    /// fused peek-then-pop so bounded drains touch the queue front once
-    /// per event.
+    /// Pops the next event or lane firing iff it is due at or before
+    /// `deadline` — a fused peek-then-pop so bounded drains touch the
+    /// calendar front once per event.
     #[inline]
-    fn pop_due(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
+    fn pop_due(&mut self, deadline: Nanos) -> Option<Due<E>> {
         // Every seq at time `deadline` qualifies, so the limit key is
         // (deadline, u64::MAX).
-        self.cal
-            .pop_due(key(deadline, u64::MAX))
-            .map(|(key, event)| {
-                let at = key_time(key);
-                debug_assert!(at >= self.now);
-                self.now = at;
-                (at, event)
-            })
+        let limit = key(deadline, u64::MAX);
+        let Some(lane) = self.lane else {
+            return self.cal.pop_due(limit).map(|(key, event)| {
+                self.advance_to(key);
+                Due::Event(key_time(key), event)
+            });
+        };
+        // Keys are unique, so the calendar front wins iff it is below
+        // the lane's key; a lane at (0, 0) has nothing below it.
+        if let Some(below) = lane.checked_sub(1) {
+            if let Some((key, event)) = self.cal.pop_due(limit.min(below)) {
+                self.advance_to(key);
+                return Some(Due::Event(key_time(key), event));
+            }
+        }
+        if lane > limit {
+            return None;
+        }
+        self.lane = None;
+        self.advance_to(lane);
+        Some(Due::Lane(key_time(lane)))
     }
+
+    #[inline]
+    fn advance_to(&mut self, key: u128) {
+        let at = key_time(key);
+        debug_assert!(at >= self.now);
+        self.now = at;
+    }
+}
+
+/// What the run loop pops next: a queued event or a lane firing.
+#[derive(Debug, PartialEq)]
+enum Due<E> {
+    Event(Nanos, E),
+    Lane(Nanos),
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.cal.len())
+            .field("pending", &self.len())
             .finish()
     }
 }
@@ -276,16 +359,25 @@ impl<W: World> Simulation<W> {
         (self.world, self.queue)
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty.
+    /// Processes a single event or lane firing. Returns `false` when
+    /// nothing is pending.
     #[inline]
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((at, event)) => {
-                self.steps += 1;
-                self.world.handle(at, event, &mut self.queue);
+            Some(due) => {
+                self.dispatch(due);
                 true
             }
             None => false,
+        }
+    }
+
+    #[inline]
+    fn dispatch(&mut self, due: Due<W::Event>) {
+        self.steps += 1;
+        match due {
+            Due::Event(at, event) => self.world.handle(at, event, &mut self.queue),
+            Due::Lane(at) => self.world.handle_lane(at, &mut self.queue),
         }
     }
 
@@ -298,9 +390,8 @@ impl<W: World> Simulation<W> {
     /// Runs until the queue drains or the clock passes `deadline`, whichever
     /// comes first. Events scheduled at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: Nanos) -> Nanos {
-        while let Some((at, event)) = self.queue.pop_due(deadline) {
-            self.steps += 1;
-            self.world.handle(at, event, &mut self.queue);
+        while let Some(due) = self.queue.pop_due(deadline) {
+            self.dispatch(due);
         }
         // Advance the clock to the deadline even if the queue drained early,
         // so measurement windows have a well-defined length.
@@ -351,6 +442,14 @@ mod tests {
 
     fn sim() -> Simulation<Recorder> {
         Simulation::new(Recorder { log: Vec::new() })
+    }
+
+    /// Pops the next queued event, which must not be a lane firing.
+    fn pop<E>(q: &mut EventQueue<E>) -> Option<(Nanos, E)> {
+        match q.pop()? {
+            Due::Event(at, event) => Some((at, event)),
+            Due::Lane(at) => panic!("unexpected lane firing at {at}"),
+        }
     }
 
     #[test]
@@ -459,14 +558,14 @@ mod tests {
         q.schedule_at(Nanos::from_nanos(3), 1);
         q.schedule_at(Nanos::MAX, 2);
         q.schedule_in(Nanos::MAX, 3); // saturates to MAX, fires after 2
-        assert_eq!(q.pop(), Some((Nanos::from_nanos(3), 1)));
+        assert_eq!(pop(&mut q), Some((Nanos::from_nanos(3), 1)));
         assert_eq!(q.peek_at(), Some(Nanos::MAX));
-        assert_eq!(q.pop(), Some((Nanos::MAX, 2)));
-        assert_eq!(q.pop(), Some((Nanos::MAX, 3)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&mut q), Some((Nanos::MAX, 2)));
+        assert_eq!(pop(&mut q), Some((Nanos::MAX, 3)));
+        assert_eq!(pop(&mut q), None);
         // At now == MAX, scheduling "later" still works (saturating).
         q.schedule_in(Nanos::from_nanos(1), 4);
-        assert_eq!(q.pop(), Some((Nanos::MAX, 4)));
+        assert_eq!(pop(&mut q), Some((Nanos::MAX, 4)));
     }
 
     /// Events whose epochs collide on the same wheel residue (exactly one
@@ -495,7 +594,7 @@ mod tests {
         q.schedule_at(Nanos::from_nanos(4), 2);
         assert_eq!(q.peek_at(), Some(Nanos::from_nanos(4)));
         assert_eq!(q.len(), 2, "peek must not consume");
-        assert_eq!(q.pop(), Some((Nanos::from_nanos(4), 2)));
+        assert_eq!(pop(&mut q), Some((Nanos::from_nanos(4), 2)));
     }
 
     #[test]
@@ -507,8 +606,8 @@ mod tests {
             q.schedule_at(Nanos::from_nanos(1), 2);
             q.reserve(16);
         }
-        assert_eq!(a.pop(), b.pop());
-        assert_eq!(a.pop(), Some((Nanos::from_nanos(3), 1)));
+        assert_eq!(pop(&mut a), pop(&mut b));
+        assert_eq!(pop(&mut a), Some((Nanos::from_nanos(3), 1)));
     }
 
     #[test]
@@ -516,7 +615,7 @@ mod tests {
         let mut q: EventQueue<u8> = EventQueue::with_capacity(8);
         q.schedule_at(Nanos::from_nanos(3), 1);
         q.schedule_at(Nanos::from_nanos(9), 2);
-        assert_eq!(q.pop(), Some((Nanos::from_nanos(3), 1)));
+        assert_eq!(pop(&mut q), Some((Nanos::from_nanos(3), 1)));
         q.reset();
         assert!(q.is_empty());
         assert_eq!(q.now(), Nanos::ZERO);
@@ -524,8 +623,8 @@ mod tests {
         // restarts from seq 0 — a recycled queue is a fresh queue.
         q.schedule_at(Nanos::ZERO, 7);
         q.schedule_at(Nanos::ZERO, 8);
-        assert_eq!(q.pop(), Some((Nanos::ZERO, 7)));
-        assert_eq!(q.pop(), Some((Nanos::ZERO, 8)));
+        assert_eq!(pop(&mut q), Some((Nanos::ZERO, 7)));
+        assert_eq!(pop(&mut q), Some((Nanos::ZERO, 8)));
     }
 
     #[test]
@@ -550,5 +649,179 @@ mod tests {
         q.schedule_in(Nanos::from_nanos(1), 1);
         q.schedule_in(Nanos::from_nanos(2), 2);
         assert_eq!(q.len(), 2);
+    }
+
+    /// Logs queued marks and lane firings; each lane firing reserves
+    /// the next one `gap` later while `remaining` lasts.
+    struct Laned {
+        log: Vec<(u64, u32)>,
+        gap: Nanos,
+        remaining: u32,
+    }
+
+    /// The id [`Laned`] logs for a lane firing.
+    const LANE: u32 = u32::MAX;
+
+    impl World for Laned {
+        type Event = u32;
+        fn handle(&mut self, now: Nanos, id: u32, _queue: &mut EventQueue<u32>) {
+            self.log.push((now.as_nanos(), id));
+        }
+        fn handle_lane(&mut self, now: Nanos, queue: &mut EventQueue<u32>) {
+            self.log.push((now.as_nanos(), LANE));
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                queue.reserve_lane_in(self.gap);
+            }
+        }
+    }
+
+    fn laned(gap: u64, remaining: u32) -> Simulation<Laned> {
+        Simulation::new(Laned {
+            log: Vec::new(),
+            gap: Nanos::from_nanos(gap),
+            remaining,
+        })
+    }
+
+    #[test]
+    fn lane_ties_fire_in_reservation_order() {
+        let mut s = laned(0, 1);
+        let t = Nanos::from_nanos(10);
+        s.queue_mut().schedule_at(t, 1);
+        s.queue_mut().reserve_lane_at(t);
+        s.queue_mut().schedule_at(t, 2);
+        assert_eq!(s.queue_mut().len(), 3);
+        assert_eq!(s.queue_mut().peek_at(), Some(t));
+        s.run();
+        // The first firing re-reserves at the same instant, behind the
+        // already-queued mark 2.
+        assert_eq!(
+            s.world().log,
+            vec![(10, 1), (10, LANE), (10, 2), (10, LANE)]
+        );
+        assert_eq!(s.steps(), 4);
+        assert!(s.queue_mut().is_empty());
+    }
+
+    #[test]
+    fn lane_at_the_deadline_fires_and_one_past_does_not() {
+        let mut s = laned(5, u32::MAX);
+        s.queue_mut().reserve_lane_at(Nanos::ZERO);
+        s.run_until(Nanos::from_nanos(20));
+        let times: Vec<u64> = s.world().log.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, vec![0, 5, 10, 15, 20]);
+        assert_eq!(s.queue_mut().peek_at(), Some(Nanos::from_nanos(25)));
+        s.run_until(Nanos::from_nanos(24));
+        assert_eq!(s.world().log.len(), 5, "an instant past the deadline waits");
+        assert_eq!(s.now(), Nanos::from_nanos(24));
+        s.run_until(Nanos::from_nanos(25));
+        assert_eq!(s.world().log.len(), 6);
+    }
+
+    #[test]
+    fn reset_clears_the_lane() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.reserve_lane_at(Nanos::from_nanos(4));
+        assert!(!q.is_empty());
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_at(), None);
+        q.reserve_lane_at(Nanos::ZERO);
+        assert_eq!(q.pop(), Some(Due::Lane(Nanos::ZERO)));
+    }
+
+    #[test]
+    #[should_panic(expected = "the lane is already reserved")]
+    fn reserving_a_held_lane_panics() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.reserve_lane_at(Nanos::from_nanos(1));
+        q.reserve_lane_at(Nanos::from_nanos(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn reserving_the_lane_in_the_past_panics() {
+        let mut s = laned(0, 0);
+        s.queue_mut().schedule_at(Nanos::from_nanos(10), 1);
+        s.run();
+        s.queue_mut().reserve_lane_at(Nanos::from_nanos(5));
+    }
+
+    /// A seeded stream that spawns jobs, driven either as an ordinary
+    /// self-scheduling event or through the lane. Gaps and delays are
+    /// drawn from a few nanoseconds so instants collide often.
+    struct Stream {
+        rng: crate::rng::Rng,
+        through_lane: bool,
+        next_job: u32,
+        log: Vec<(u64, u32)>,
+    }
+
+    impl Stream {
+        fn fire(&mut self, now: Nanos, queue: &mut EventQueue<u32>) {
+            self.log.push((now.as_nanos(), LANE));
+            let gap = Nanos::from_nanos(self.rng.next_below(4));
+            if self.through_lane {
+                queue.reserve_lane_in(gap);
+            } else {
+                queue.schedule_in(gap, LANE);
+            }
+            for _ in 0..self.rng.next_below(3) {
+                let delay = Nanos::from_nanos(self.rng.next_below(6));
+                queue.schedule_in(delay, self.next_job);
+                self.next_job += 1;
+            }
+        }
+    }
+
+    impl World for Stream {
+        type Event = u32;
+        fn handle(&mut self, now: Nanos, id: u32, queue: &mut EventQueue<u32>) {
+            if id == LANE {
+                self.fire(now, queue);
+            } else {
+                self.log.push((now.as_nanos(), id));
+                if self.rng.chance(0.3) {
+                    let delay = Nanos::from_nanos(self.rng.next_below(3));
+                    queue.schedule_in(delay, self.next_job);
+                    self.next_job += 1;
+                }
+            }
+        }
+        fn handle_lane(&mut self, now: Nanos, queue: &mut EventQueue<u32>) {
+            self.fire(now, queue);
+        }
+    }
+
+    #[test]
+    fn lane_pops_the_same_sequence_as_plain_scheduling() {
+        for seed in 0..20 {
+            let run = |through_lane: bool| {
+                let mut s = Simulation::new(Stream {
+                    rng: crate::rng::Rng::new(seed),
+                    through_lane,
+                    next_job: 0,
+                    log: Vec::new(),
+                });
+                s.queue_mut().schedule_at(Nanos::ZERO, 0);
+                if through_lane {
+                    s.queue_mut().reserve_lane_at(Nanos::ZERO);
+                } else {
+                    s.queue_mut().schedule_at(Nanos::ZERO, LANE);
+                }
+                s.queue_mut().schedule_at(Nanos::ZERO, 1);
+                s.world_mut().next_job = 2;
+                for deadline in [0, 7, 7, 50, 400] {
+                    s.run_until(Nanos::from_nanos(deadline));
+                }
+                let steps = s.run_steps(100);
+                (s.steps(), steps, s.now(), s.into_world().log)
+            };
+            let plain = run(false);
+            let laned = run(true);
+            assert!(plain.3.len() > 300, "seed {seed}: stream too short");
+            assert_eq!(plain, laned, "seed {seed}");
+        }
     }
 }

@@ -146,7 +146,7 @@ impl Rng {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * GRID_SCALE
     }
 
     /// Fills `out` with uniform `f64`s in `[0, 1)` — the exact sequence
@@ -157,7 +157,7 @@ impl Rng {
     #[inline]
     pub fn next_f64_batch(&mut self, out: &mut [f64]) {
         for slot in out {
-            *slot = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            *slot = (self.next_u64() >> 11) as f64 * GRID_SCALE;
         }
     }
 
@@ -175,6 +175,7 @@ impl Rng {
     /// Exponentially distributed value with the given mean.
     ///
     /// Used for open-loop arrival processes (Poisson arrivals).
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean >= 0.0);
         // Avoid ln(0); next_f64 is in [0,1) so 1-x is in (0,1].
@@ -187,15 +188,15 @@ impl Rng {
     /// workload generation (YCSB-style) where only the popularity *shape*
     /// matters.
     ///
+    /// When the same `(n, theta)` is drawn from many times over a small
+    /// `n`, [`ZipfTable`] returns the same ranks without the `powf`.
+    ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
         assert!(n > 0, "zipf over empty domain");
-        let u = self.next_f64();
-        let exp = 1.0 / (1.0 - theta.clamp(0.0, 0.999));
-        let rank = ((n as f64) * u.powf(exp)).floor() as u64;
-        rank.min(n - 1)
+        zipf_rank(n, zipf_exponent(theta), self.next_u64() >> 11)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -233,6 +234,131 @@ impl Rng {
             x -= w;
         }
         weights.len() - 1
+    }
+}
+
+/// Number of points on the 53-bit grid [`Rng::next_f64`] draws from.
+const GRID: u64 = 1 << 53;
+
+/// Scale from a grid index to its uniform value in `[0, 1)`.
+const GRID_SCALE: f64 = 1.0 / GRID as f64;
+
+/// The exponent [`Rng::zipf`] raises its uniform draw to.
+#[inline]
+fn zipf_exponent(theta: f64) -> f64 {
+    1.0 / (1.0 - theta.clamp(0.0, 0.999))
+}
+
+/// The rank [`Rng::zipf`] returns for grid index `grid` (the top 53
+/// bits of the raw draw) — the definition every [`ZipfTable`] entry is
+/// derived from and checked against.
+#[inline]
+fn zipf_rank(n: u64, exp: f64, grid: u64) -> u64 {
+    let u = grid as f64 * GRID_SCALE;
+    let rank = ((n as f64) * u.powf(exp)).floor() as u64;
+    rank.min(n - 1)
+}
+
+/// A precomputed [`Rng::zipf`] for one `(n, theta)`: same single
+/// `next_u64` per draw, same rank for every draw, no `powf`.
+///
+/// The draw's 53-bit grid index is compared against `n - 1` thresholds,
+/// threshold `r - 1` being the first index whose rank is at least `r`.
+/// Each one is found by binary search over the grid with the very
+/// expression [`Rng::zipf`] evaluates. A draw within 64 grid steps of
+/// any threshold is recomputed with that expression, so a `powf` that
+/// wobbles by an ulp or two around a crossing cannot make the table
+/// disagree; away from the crossings a draw's rank is pinned by the
+/// thresholds on both sides of it.
+///
+/// Building costs about `53 × (n - 1)` `powf` calls and `8 × n` bytes,
+/// so the table suits small ranges drawn from often (the cluster study's
+/// domains per host); large key spaces keep calling [`Rng::zipf`].
+///
+/// ```
+/// use xc_sim::rng::{Rng, ZipfTable};
+///
+/// let table = ZipfTable::new(24, 0.2);
+/// let (mut a, mut b) = (Rng::new(5), Rng::new(5));
+/// for _ in 0..1_000 {
+///     assert_eq!(table.sample(&mut a), b.zipf(24, 0.2));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ZipfTable {
+    n: u64,
+    theta: f64,
+    exp: f64,
+    /// `thresholds[r - 1]`: the first grid index whose rank is ≥ `r`
+    /// (`GRID` when no index reaches it). Non-decreasing.
+    thresholds: Vec<u64>,
+}
+
+impl ZipfTable {
+    /// Grid steps on either side of a threshold within which a draw is
+    /// recomputed with `powf`.
+    const GUARD: u64 = 64;
+
+    /// Builds the table for `n` ranks at skew `theta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: u64, theta: f64) -> Self {
+        assert!(n > 0, "zipf over empty domain");
+        let exp = zipf_exponent(theta);
+        let mut thresholds = Vec::with_capacity((n - 1) as usize);
+        let mut lo = 0;
+        for r in 1..n {
+            // First index in [lo, GRID] with rank ≥ r, GRID standing in
+            // for "never".
+            let mut hi = GRID;
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if zipf_rank(n, exp, mid) >= r {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            thresholds.push(lo);
+        }
+        ZipfTable {
+            n,
+            theta,
+            exp,
+            thresholds,
+        }
+    }
+
+    /// Number of ranks.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// The skew the table was built for.
+    pub fn theta(&self) -> f64 {
+        self.theta
+    }
+
+    /// Draws a rank: exactly `rng.zipf(self.n(), self.theta())`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        self.rank_of(rng.next_u64() >> 11)
+    }
+
+    /// The rank of grid index `grid`.
+    #[inline]
+    fn rank_of(&self, grid: u64) -> u64 {
+        let t = &self.thresholds;
+        let r = t.partition_point(|&x| x <= grid);
+        let near_below = r > 0 && grid - t[r - 1] < Self::GUARD;
+        let near_above = r < t.len() && t[r] - grid <= Self::GUARD;
+        if near_below || near_above {
+            zipf_rank(self.n, self.exp, grid)
+        } else {
+            r as u64
+        }
     }
 }
 
@@ -385,5 +511,55 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((2.7..3.3).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn zipf_table_matches_zipf_around_every_threshold() {
+        let guard = ZipfTable::GUARD;
+        for n in [1u64, 2, 6, 24, 100] {
+            for theta in [0.0, 0.2, 0.4, 0.9, 0.9999] {
+                let table = ZipfTable::new(n, theta);
+                let exp = zipf_exponent(theta);
+                assert_eq!(table.thresholds.len() as u64, n - 1);
+                for &t in &table.thresholds {
+                    let lo = t.saturating_sub(2 * guard);
+                    let hi = (t + 2 * guard).min(GRID - 1);
+                    for g in lo..=hi {
+                        assert_eq!(
+                            table.rank_of(g),
+                            zipf_rank(n, exp, g),
+                            "n={n} theta={theta} grid={g} threshold={t}"
+                        );
+                    }
+                }
+                for g in [0, 1, GRID / 2, GRID - 2, GRID - 1] {
+                    assert_eq!(table.rank_of(g), zipf_rank(n, exp, g), "n={n} grid={g}");
+                }
+                let mut a = Rng::new(n ^ theta.to_bits());
+                let mut b = a.clone();
+                for _ in 0..1_000_000 {
+                    assert_eq!(
+                        table.sample(&mut a),
+                        b.zipf(n, theta),
+                        "n={n} theta={theta}"
+                    );
+                }
+                assert_eq!(a, b, "one next_u64 per draw");
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_table_over_one_rank_has_no_thresholds() {
+        let table = ZipfTable::new(1, 0.4);
+        assert!(table.thresholds.is_empty());
+        let mut r = Rng::new(9);
+        assert!((0..1_000).all(|_| table.sample(&mut r) == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf over empty domain")]
+    fn zipf_table_over_no_ranks_panics() {
+        let _ = ZipfTable::new(0, 0.2);
     }
 }

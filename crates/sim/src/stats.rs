@@ -310,6 +310,7 @@ impl Histogram {
     }
 
     /// Records a [`Nanos`] duration.
+    #[inline]
     pub fn record_nanos(&mut self, value: Nanos) {
         self.record(value.as_nanos());
     }

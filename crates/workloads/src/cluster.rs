@@ -23,13 +23,24 @@
 //! arrangement of threads and merged back in host-index order, yields
 //! byte-identical results. The bench harness exploits that by making
 //! host chunks its parallel runner cells.
+//!
+//! # The arrival hot path
+//!
+//! Arrivals are half of a host's events, so they skip the event queue:
+//! the Poisson stream lives in the engine's lane
+//! ([`World::handle_lane`]), reserving each next arrival's `(time, seq)`
+//! key at the point a queued `Arrive` event used to be scheduled, so
+//! every event fires in the same order as before. The domain draw goes
+//! through a [`ZipfTable`] built once per `(domains, theta)` and cached
+//! in the [`WorldArena`]; it returns exactly the rank [`Rng::zipf`]
+//! would from the same draw.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xc_sim::engine::{EventQueue, Simulation, World};
-use xc_sim::rng::Rng;
+use xc_sim::rng::{Rng, ZipfTable};
 use xc_sim::stats::{shard_share, Histogram};
 use xc_sim::time::Nanos;
 
@@ -71,6 +82,9 @@ impl ClusterParams {
         self.clients as f64 / self.think_time.as_secs_f64()
     }
 }
+
+/// Relative half-width of the uniform jitter on every service time.
+const SERVICE_JITTER: f64 = 0.15;
 
 /// Flat per-domain bounded FIFOs plus in-service flags.
 ///
@@ -179,29 +193,34 @@ impl DomainFifos {
 /// One host's world: open-loop Poisson arrivals over Zipf-ranked
 /// domains, cores as the shared bottleneck.
 ///
-/// The heap-backed pieces (domain FIFOs, the core run queue, the
-/// latency histogram) are *borrowed* from a [`WorldArena`] so the
-/// cluster grid reuses one set of allocations across hosts and cells
-/// instead of rebuilding them per host; the histogram doubles as the
-/// range accumulator (integer bucket adds are order-independent, so
-/// recording hosts straight into one histogram is byte-identical to
-/// merging per-host ones).
+/// The domain FIFOs, the core run queue and the Zipf table are
+/// *borrowed* from a [`WorldArena`] so the cluster grid reuses one set
+/// across hosts and cells instead of rebuilding them per host. The
+/// latency histogram is borrowed from the caller's [`ClusterResult`],
+/// which it doubles as the range accumulator for (integer bucket adds
+/// are order-independent, so recording hosts straight into one
+/// histogram is byte-identical to merging per-host ones).
+///
+/// Arrivals fire from the engine's lane ([`World::handle_lane`]); the
+/// queue holds only [`Finish`] events, one per busy core.
 struct HostWorld<'a> {
     table: PlatformCosts,
     jitter: f64,
     arrival_mean_ns: f64,
-    zipf_theta: f64,
+    /// Domain popularity over this host's domains (the ring slab's
+    /// configured domain count always matches its range).
+    zipf: &'a ZipfTable,
     queue_cap: usize,
     cores: u32,
     busy_cores: u32,
-    /// Domains on this host (the Zipf draw's range; the ring slab's
-    /// configured domain count always matches).
-    n_domains: u64,
     fifos: &'a mut DomainFifos,
     /// Domains ready to serve (idle, pending non-empty) waiting for a
     /// free core, FIFO. A domain is queued at most once: it enters only
     /// on its idle-with-work transition and leaves when started.
     core_queue: &'a mut VecDeque<u32>,
+    /// Requests the lane has delivered (the conservation ledger's
+    /// left-hand side).
+    arrivals: u64,
     completed: u64,
     dropped: u64,
     latency: &'a mut Histogram,
@@ -210,11 +229,10 @@ struct HostWorld<'a> {
     rng: Rng,
 }
 
-enum Ev {
-    /// The next client request reaches the host.
-    Arrive,
-    /// Domain `domain` finishes the request that arrived at `issued`.
-    Finish { domain: u32, issued: Nanos },
+/// Domain `domain` finishes the request that arrived at `issued`.
+struct Finish {
+    domain: u32,
+    issued: Nanos,
 }
 
 impl HostWorld<'_> {
@@ -225,7 +243,7 @@ impl HostWorld<'_> {
     }
 
     /// Puts ready domain `d` on a core, or in line for one.
-    fn dispatch(&mut self, d: u32, queue: &mut EventQueue<Ev>) {
+    fn dispatch(&mut self, d: u32, queue: &mut EventQueue<Finish>) {
         if self.busy_cores < self.cores {
             self.start(d, queue);
         } else {
@@ -233,57 +251,57 @@ impl HostWorld<'_> {
         }
     }
 
-    fn start(&mut self, d: u32, queue: &mut EventQueue<Ev>) {
+    fn start(&mut self, d: u32, queue: &mut EventQueue<Finish>) {
         let issued = self.fifos.pop(d as usize);
         self.fifos.set_in_service(d as usize, true);
         self.busy_cores += 1;
         let st = self.sample_service();
         self.busy_ns += st.as_nanos();
-        queue.schedule_in(st, Ev::Finish { domain: d, issued });
+        queue.schedule_in(st, Finish { domain: d, issued });
     }
 }
 
 impl World for HostWorld<'_> {
-    type Event = Ev;
+    type Event = Finish;
 
-    fn handle(&mut self, now: Nanos, event: Ev, queue: &mut EventQueue<Ev>) {
-        match event {
-            Ev::Arrive => {
-                // Self-perpetuating Poisson process: draw the next
-                // inter-arrival first so the stream's RNG usage is
-                // independent of what this arrival does.
-                let gap = self.rng.exponential(self.arrival_mean_ns);
-                queue.schedule_in(Nanos::from_nanos(gap as u64), Ev::Arrive);
-                let d = self.rng.zipf(self.n_domains, self.zipf_theta) as u32;
-                let du = d as usize;
-                if self.fifos.in_service(du) || !self.fifos.is_empty(du) {
-                    // Busy or already in line: join the domain FIFO.
-                    if self.fifos.len(du) >= self.queue_cap {
-                        self.dropped += 1;
-                    } else {
-                        self.fifos.push(du, now);
-                    }
-                } else {
-                    self.fifos.push(du, now);
-                    self.dispatch(d, queue);
-                }
+    fn handle(&mut self, now: Nanos, event: Finish, queue: &mut EventQueue<Finish>) {
+        let Finish { domain, issued } = event;
+        self.completed += 1;
+        self.latency.record_nanos((now - issued) + self.table.rtt);
+        self.fifos.set_in_service(domain as usize, false);
+        self.busy_cores -= 1;
+        if !self.fifos.is_empty(domain as usize) {
+            // Re-compete for a core behind anyone already waiting.
+            self.core_queue.push_back(domain);
+        }
+        while self.busy_cores < self.cores {
+            let Some(next) = self.core_queue.pop_front() else {
+                break;
+            };
+            self.start(next, queue);
+        }
+    }
+
+    /// The next client request reaches the host.
+    fn handle_lane(&mut self, now: Nanos, queue: &mut EventQueue<Finish>) {
+        // Self-perpetuating Poisson process: draw the next inter-arrival
+        // first so the stream's RNG usage is independent of what this
+        // arrival does.
+        let gap = self.rng.exponential(self.arrival_mean_ns);
+        queue.reserve_lane_in(Nanos::from_nanos(gap as u64));
+        self.arrivals += 1;
+        let d = self.zipf.sample(&mut self.rng) as u32;
+        let du = d as usize;
+        if self.fifos.in_service(du) || !self.fifos.is_empty(du) {
+            // Busy or already in line: join the domain FIFO.
+            if self.fifos.len(du) >= self.queue_cap {
+                self.dropped += 1;
+            } else {
+                self.fifos.push(du, now);
             }
-            Ev::Finish { domain, issued } => {
-                self.completed += 1;
-                self.latency.record_nanos((now - issued) + self.table.rtt);
-                self.fifos.set_in_service(domain as usize, false);
-                self.busy_cores -= 1;
-                if !self.fifos.is_empty(domain as usize) {
-                    // Re-compete for a core behind anyone already waiting.
-                    self.core_queue.push_back(domain);
-                }
-                while self.busy_cores < self.cores {
-                    let Some(next) = self.core_queue.pop_front() else {
-                        break;
-                    };
-                    self.start(next, queue);
-                }
-            }
+        } else {
+            self.fifos.push(du, now);
+            self.dispatch(d, queue);
         }
     }
 }
@@ -418,19 +436,22 @@ pub fn arena_counters() -> (u64, u64) {
 /// Reusable backing storage for [`HostWorld`]s and their event queues.
 ///
 /// Every host in the cluster grid needs the same heap structure — the
-/// flat [`DomainFifos`] ring slab, a core run queue, a 2 048-bucket
-/// latency histogram, and a calendar-queue wheel — so the arena keeps
-/// one set alive and hands it out reset instead of letting each host
-/// reallocate it. The resets restore the exact logical state of fresh
-/// storage ([`EventQueue::reset`] rewinds even the adaptive bucket
-/// width), so arena-backed runs are byte-identical to
-/// freshly-allocated ones — a feature-gated proptest pins that
-/// equivalence.
+/// flat [`DomainFifos`] ring slab, a core run queue and a calendar-queue
+/// wheel — so the arena keeps one set alive and hands it out reset
+/// instead of letting each host reallocate it. The resets restore the
+/// exact logical state of fresh storage ([`EventQueue::reset`] rewinds
+/// even the adaptive bucket width and the lane), so arena-backed runs
+/// are byte-identical to freshly-allocated ones — a feature-gated
+/// proptest pins that equivalence. The arena also caches the
+/// [`ZipfTable`] of the last `(domains, theta)` it served, which every
+/// host of a grid shares; it is built on first use, inside the first
+/// cell that needs it.
 #[derive(Default)]
 pub struct WorldArena {
     fifos: DomainFifos,
     core_queue: VecDeque<u32>,
-    queue: Option<EventQueue<Ev>>,
+    queue: Option<EventQueue<Finish>>,
+    zipf: Option<ZipfTable>,
 }
 
 impl WorldArena {
@@ -440,15 +461,18 @@ impl WorldArena {
     }
 
     /// Resets the pooled storage for a world of `domains` domains with
-    /// per-domain queue cap `queue_cap` and bumps the global alloc/reuse
-    /// counters. The ring slab keeps its buffer whenever it already
-    /// covers the requested geometry.
+    /// per-domain queue cap `queue_cap` and Zipf skew `theta`, and bumps
+    /// the global alloc/reuse counters. The ring slab keeps its buffer
+    /// whenever it already covers the requested geometry; the Zipf table
+    /// is rebuilt only when `domains` or `theta` differs from the cached
+    /// one.
     fn prepare(
         &mut self,
         domains: usize,
         queue_cap: usize,
+        theta: f64,
         queue_capacity: usize,
-    ) -> EventQueue<Ev> {
+    ) -> EventQueue<Finish> {
         let reused = self.queue.is_some() && self.fifos.covers(domains, queue_cap);
         if reused {
             ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
@@ -457,6 +481,14 @@ impl WorldArena {
         }
         self.fifos.reset(domains, queue_cap);
         self.core_queue.clear();
+        let n = domains as u64;
+        let stale = self
+            .zipf
+            .as_ref()
+            .is_none_or(|t| t.n() != n || t.theta().to_bits() != theta.to_bits());
+        if stale {
+            self.zipf = Some(ZipfTable::new(n, theta));
+        }
         match self.queue.take() {
             Some(mut q) => {
                 q.reset();
@@ -504,39 +536,84 @@ pub fn run_cluster_range_in(
     let mut out = ClusterResult::default();
     for host in first..first + count {
         out.hosts += 1;
-        let clients = shard_share(params.clients, u64::from(params.hosts), u64::from(host));
-        if clients == 0 || params.domains_per_host == 0 {
-            continue;
+        if let Some(ledger) = run_host(arena, table, params, host, &mut out.latency) {
+            out.completed += ledger.completed;
+            out.dropped += ledger.dropped;
+            out.busy_ns += ledger.busy_ns;
         }
-        let n = params.domains_per_host as usize;
-        let queue = arena.prepare(n, params.queue_cap.max(1), n + 2);
-        let world = HostWorld {
-            table: *table,
-            jitter: 0.15,
-            arrival_mean_ns: params.think_time.as_nanos() as f64 / clients as f64,
-            zipf_theta: params.zipf_theta,
-            queue_cap: params.queue_cap.max(1),
-            cores: params.host_cores.max(1),
-            busy_cores: 0,
-            n_domains: n as u64,
-            fifos: &mut arena.fifos,
-            core_queue: &mut arena.core_queue,
-            completed: 0,
-            dropped: 0,
-            latency: &mut out.latency,
-            busy_ns: 0,
-            rng: Rng::substream(params.seed, u64::from(host)),
-        };
-        let mut sim = Simulation::from_parts(world, queue);
-        sim.queue_mut().schedule_at(Nanos::ZERO, Ev::Arrive);
-        sim.run_until(params.duration);
-        let (world, queue) = sim.into_parts();
-        out.completed += world.completed;
-        out.dropped += world.dropped;
-        out.busy_ns += world.busy_ns;
-        arena.queue = Some(queue);
     }
     out
+}
+
+/// Where one host's requests stand at the horizon.
+#[derive(Debug, Clone, Copy)]
+struct HostLedger {
+    /// Requests that reached the host.
+    arrivals: u64,
+    /// Requests served to completion.
+    completed: u64,
+    /// Requests dropped at a full domain queue.
+    dropped: u64,
+    /// Requests waiting in domain FIFOs.
+    queued: u64,
+    /// Requests on a core.
+    in_service: u64,
+    /// Core-nanoseconds of service started, in-flight service included.
+    busy_ns: u64,
+}
+
+/// Simulates host `host` to the horizon, recording its latencies into
+/// `latency`. `None` when the host has no clients or no domains.
+fn run_host(
+    arena: &mut WorldArena,
+    table: &PlatformCosts,
+    params: &ClusterParams,
+    host: u32,
+    latency: &mut Histogram,
+) -> Option<HostLedger> {
+    let clients = shard_share(params.clients, u64::from(params.hosts), u64::from(host));
+    if clients == 0 || params.domains_per_host == 0 {
+        return None;
+    }
+    let n = params.domains_per_host as usize;
+    let queue_cap = params.queue_cap.max(1);
+    let queue = arena.prepare(n, queue_cap, params.zipf_theta, n + 2);
+    let world = HostWorld {
+        table: *table,
+        jitter: SERVICE_JITTER,
+        arrival_mean_ns: params.think_time.as_nanos() as f64 / clients as f64,
+        zipf: arena.zipf.as_ref().expect("prepare builds the table"),
+        queue_cap,
+        cores: params.host_cores.max(1),
+        busy_cores: 0,
+        fifos: &mut arena.fifos,
+        core_queue: &mut arena.core_queue,
+        arrivals: 0,
+        completed: 0,
+        dropped: 0,
+        latency,
+        busy_ns: 0,
+        rng: Rng::substream(params.seed, u64::from(host)),
+    };
+    let mut sim = Simulation::from_parts(world, queue);
+    sim.queue_mut().reserve_lane_at(Nanos::ZERO);
+    sim.run_until(params.duration);
+    let (world, queue) = sim.into_parts();
+    let ledger = HostLedger {
+        arrivals: world.arrivals,
+        completed: world.completed,
+        dropped: world.dropped,
+        queued: (0..n).map(|d| world.fifos.len(d) as u64).sum(),
+        in_service: u64::from(world.busy_cores),
+        busy_ns: world.busy_ns,
+    };
+    debug_assert_eq!(
+        ledger.arrivals,
+        ledger.completed + ledger.dropped + ledger.queued + ledger.in_service,
+        "host {host} lost or invented requests: {ledger:?}"
+    );
+    arena.queue = Some(queue);
+    Some(ledger)
 }
 
 /// Simulates the contiguous host range `[first, first + count)` and
@@ -717,5 +794,68 @@ mod tests {
         assert!(h.utilization(16, heavy.duration) > l.utilization(16, light.duration) * 2.0);
         assert!(h.drop_rate() > l.drop_rate());
         assert!(h.quantile_ms(0.99) > l.quantile_ms(0.99));
+    }
+
+    /// Conservation at the horizon, per host: every arrival the lane
+    /// fired is completed, dropped, queued or on a core, and the core
+    /// time started fits the host's capacity plus what is still in
+    /// flight (at most one maximally jittered service per busy core).
+    #[test]
+    fn every_host_balances_its_ledger() {
+        // The cluster study's quick grid, at normal and at overload.
+        let quick = ClusterParams {
+            hosts: 8,
+            domains_per_host: 6,
+            clients: 40_000,
+            think_time: Nanos::from_secs(1),
+            duration: Nanos::from_millis(120),
+            queue_cap: 64,
+            zipf_theta: 0.2,
+            host_cores: 16,
+            seed: 42,
+        };
+        let overload = ClusterParams {
+            clients: 4_000_000,
+            ..quick.clone()
+        };
+        let cloud = CloudEnv::LocalCluster;
+        let platforms = [
+            Platform::docker(cloud, true),
+            Platform::xen_container(cloud, true),
+            Platform::x_container(cloud, true),
+            Platform::gvisor(cloud, true),
+        ];
+        let mut arena = WorldArena::new();
+        let (mut drops, mut backlog) = (0, 0);
+        for p in [&quick, &overload] {
+            for platform in &platforms {
+                let t = table(platform.clone());
+                let max_service = t.service.scale(1.0 + SERVICE_JITTER).as_nanos();
+                let capacity = u64::from(p.host_cores) * p.duration.as_nanos();
+                let mut whole = ClusterResult::default();
+                for host in 0..p.hosts {
+                    let name = platform.name();
+                    let l = run_host(&mut arena, &t, p, host, &mut whole.latency)
+                        .expect("every quick host has clients");
+                    assert!(l.arrivals > 0, "{name} host {host}: no arrivals");
+                    assert_eq!(
+                        l.arrivals,
+                        l.completed + l.dropped + l.queued + l.in_service,
+                        "{name} host {host}: {l:?}"
+                    );
+                    assert!(l.in_service <= u64::from(p.host_cores), "{name}: {l:?}");
+                    assert!(
+                        l.busy_ns <= capacity + l.in_service * max_service,
+                        "{name} host {host}: busy {} ns over {capacity} ns + in flight: {l:?}",
+                        l.busy_ns
+                    );
+                    drops += l.dropped;
+                    backlog += l.queued;
+                    whole.completed += l.completed;
+                }
+                assert_eq!(whole.latency.count(), whole.completed);
+            }
+        }
+        assert!(drops > 0 && backlog > 0, "overload must queue and drop");
     }
 }

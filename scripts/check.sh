@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: formatting, lints, the runner determinism
-# suite, and a serial-vs-parallel smoke pass of the combined acceptance
-# harness. Fails on any diff, warning, test failure, or byte divergence
-# between --jobs 1 and --jobs N output.
+# suite, the property suites, and a serial-vs-parallel smoke pass of the
+# combined acceptance harness. Fails on any diff, warning, test failure,
+# or byte divergence between --jobs 1 and --jobs N output.
 #
 # `--bench` additionally runs the perf section: the queue_bench fig4
 # golden-digest smoke, the cluster_study byte-identity gate, and the
@@ -30,6 +30,12 @@ cargo clippy --workspace --all-targets \
 
 echo "== runner determinism suite =="
 cargo test -q -p xc-bench --test determinism
+
+echo "== property suites (every crate's proptest feature on) =="
+cargo test -q --workspace \
+    --features xc-sim/proptest,xc-workloads/proptest,xc-faults/proptest,xc-verify/proptest \
+    --features xc-isa/proptest,xc-libos/proptest,xc-xen/proptest,xc-abom/proptest \
+    --features xc-runtimes/proptest,xcontainers/proptest
 
 echo "== all_experiments --jobs 1 vs --jobs N smoke pass =="
 cargo build -q --release -p xc-bench --bin all_experiments
