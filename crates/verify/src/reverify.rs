@@ -5,10 +5,10 @@
 //!
 //! * every patched text site decodes to the 7-byte `call *entry` or the
 //!   9-byte `call *entry; jmp -9` replacement of §4.4,
-//! * every non-`int3` run in the appended trampoline area is a trampoline
-//!   that is targeted by **exactly one** detour `jmp` from the text,
-//!   contains **exactly one** vsyscall call, and ends with a `jmp rel32`
-//!   back into the text,
+//! * every non-`int3` run in the appended trampoline area decodes and is
+//!   a trampoline that is targeted by **exactly one** detour `jmp` from
+//!   the text, contains **exactly one** vsyscall call, and ends with a
+//!   `jmp rel32` back into the text,
 //! * nothing branches into the middle of a trampoline.
 
 use std::collections::BTreeMap;
@@ -61,6 +61,11 @@ pub enum Violation {
     /// start.
     DetourIntoNonTrampoline {
         /// Address of the jump.
+        at: u64,
+    },
+    /// A byte in the trampoline area that decodes to no instruction.
+    UndecodableInArea {
+        /// Address of the byte.
         at: u64,
     },
 }
@@ -127,12 +132,15 @@ pub fn reverify(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     }
 
     // Walk the trampoline area: alternating int3 fill and trampolines.
+    // `at` never decreases, so one forward cursor answers every lookup.
     let mut tramp_spans: Vec<(u64, u64)> = Vec::new();
+    let mut cursor = 0;
     let mut at = text_end;
     while at < area_end {
-        let Some(d) = disasm.insts.get(&at) else {
-            // Undecodable byte inside the area: attribute it to whatever
-            // trampoline walk failed below; just resync here.
+        let Some(d) = disasm.insts.get_from(&mut cursor, at) else {
+            // Undecodable byte inside the area: neither fill nor part of
+            // a trampoline. Report it and resync.
+            report.violations.push(Violation::UndecodableInArea { at });
             at += 1;
             continue;
         };
@@ -154,7 +162,7 @@ pub fn reverify(image: &BinaryImage, text_len: usize) -> ReverifyReport {
         let mut calls = 0usize;
         let mut returned = false;
         while at < area_end {
-            let Some(d) = disasm.insts.get(&at) else {
+            let Some(d) = disasm.insts.get_from(&mut cursor, at) else {
                 break;
             };
             match d.inst {
@@ -323,6 +331,80 @@ mod tests {
         let r = reverify(&image, len);
         assert_eq!(r.nine_byte, vec![0x1000]);
         assert!(r.seven_byte.is_empty());
+    }
+
+    #[test]
+    fn undecodable_byte_in_area_is_flagged() {
+        // Text `ret` padded to 16 bytes, then an area of int3 fill with
+        // one #UD byte (0x60) in it: fill around it, no trampoline.
+        let mut bytes = Inst::Ret.encode();
+        bytes.resize(16, 0xcc);
+        bytes.extend_from_slice(&[0xcc, 0xcc, 0x60, 0xcc, 0xcc]);
+        let image = BinaryImage::new(0x1000, bytes);
+        let r = reverify(&image, 16);
+        assert_eq!(
+            r.violations,
+            vec![Violation::UndecodableInArea { at: 0x1012 }]
+        );
+        assert!(!r.ok());
+    }
+
+    #[test]
+    fn back_to_back_trampolines_pass() {
+        let mut a = Assembler::new(0x1000);
+        a.jmp_to("t1");
+        a.label("b1").unwrap();
+        a.jmp_to("t2");
+        a.label("b2").unwrap();
+        a.inst(Inst::Ret);
+        a.align(16);
+        let text_len = (a.here() - 0x1000) as usize;
+        // Two trampolines with no int3 between them.
+        for (tramp, back) in [("t1", "b1"), ("t2", "b2")] {
+            a.label(tramp).unwrap();
+            a.inst(Inst::CallAbsIndirect {
+                target: VSYSCALL_BASE + 8,
+            });
+            a.jmp_to(back);
+        }
+        let image = a.finish().unwrap();
+        let r = reverify(&image, text_len);
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert_eq!(r.detours, vec![(0x1000, 0x1010), (0x1005, 0x1010 + 12)]);
+    }
+
+    #[test]
+    fn trampoline_running_off_the_image_end_has_no_return() {
+        let mut a = Assembler::new(0x1000);
+        a.jmp_to("tramp");
+        a.inst(Inst::Ret);
+        a.align(16);
+        let text_len = (a.here() - 0x1000) as usize;
+        a.label("tramp").unwrap();
+        a.inst(Inst::CallAbsIndirect {
+            target: VSYSCALL_BASE + 8,
+        });
+        let image = a.finish().unwrap();
+        let r = reverify(&image, text_len);
+        assert_eq!(
+            r.violations,
+            vec![Violation::TrampolineMissingReturn { at: 0x1010 }]
+        );
+        assert_eq!(r.detours, vec![(0x1000, 0x1010)]);
+    }
+
+    #[test]
+    fn text_only_image_has_an_empty_area() {
+        let mut a = Assembler::new(0x1000);
+        a.inst(Inst::CallAbsIndirect {
+            target: VSYSCALL_BASE + 8,
+        });
+        a.inst(Inst::Ret);
+        let image = a.finish().unwrap();
+        let r = reverify(&image, image.len());
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert_eq!(r.seven_byte, vec![0x1000]);
+        assert!(r.detours.is_empty());
     }
 
     #[test]

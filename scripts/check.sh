@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: formatting, lints, the runner determinism
-# suite, the property suites, and a serial-vs-parallel smoke pass of the
-# combined acceptance harness. Fails on any diff, warning, test failure,
-# or byte divergence between --jobs 1 and --jobs N output.
+# suite, the property suites, a serial-vs-parallel smoke pass of the
+# combined acceptance harness, and perfbench's tests plus a 2-second
+# reference-digest smoke per workload. Fails on any diff, warning, test
+# failure, digest mismatch, or byte divergence between --jobs 1 and
+# --jobs N output.
 #
 # `--bench` additionally runs the perf section: the queue_bench fig4
 # golden-digest smoke, the cluster_study byte-identity gate, and the
@@ -93,6 +95,22 @@ cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the
 echo "== coverage regression gate: verify_lint --quick (golden digest, coverage floor, Unknown ceiling) =="
 cargo build -q --release -p xc-bench --bin verify_lint
 target/release/verify_lint --quick
+
+echo "== perfbench: its unit tests and a reference-digest smoke per workload =="
+# perfbench exits 0 even when cells fail, so the smoke reads the verdict
+# from the JSON on its last stdout line; at --seed 2019 every cell digest
+# must match perfbench/digests/<workload>.txt.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in cluster-open closed-loop abom-corpus; do
+    last=$(perfbench/target/release/perfbench --workload "$workload" \
+        --seed 2019 --seconds 2 --trace 0 | tail -n 1)
+    if ! grep -q '"correct":true' <<<"$last"; then
+        echo "FAIL: perfbench $workload diverges from its reference digests: $last" >&2
+        exit 1
+    fi
+done
+echo "ok: perfbench reproduces the reference digests on every workload"
 
 echo "== crash-safety smoke: interrupted cluster_study --quick resumes byte-identically =="
 # Reference run, then a journaled run halted mid-grid (exit 3 = resumable),
