@@ -181,6 +181,8 @@ struct ChaosWorld {
     demotion_extra: Nanos,
     wd: Watchdog,
     conns: Vec<Conn>,
+    /// Ports drained by the last `Deliver`, reused across drains.
+    delivered: Vec<u32>,
     waiting: VecDeque<usize>,
     in_service: Vec<usize>,
     /// Bumped on every restart; invalidates in-flight `Finish` events.
@@ -230,8 +232,8 @@ impl ChaosWorld {
     }
 
     /// Client-side notification send for `conn`'s next request, with
-    /// transient-failure retry. Schedules delivery (unless the event is
-    /// dropped) and the resend timer.
+    /// transient-failure retry. Schedules delivery, or the resend timer
+    /// if the event is dropped.
     fn send_request(&mut self, conn: usize, now: Nanos, queue: &mut EventQueue<Ev>) {
         let mut extra = Nanos::ZERO;
         let mut attempt = 0u32;
@@ -272,20 +274,22 @@ impl ChaosWorld {
                 .drop_pending(SERVER, port_server)
                 .expect("server port exists");
         }
-        if !dropped {
+        if dropped {
+            // Only a lost send needs the timer: `run_chaos_in` asserts
+            // rtt/2 + max delay + retry budget < resend_timeout, so a
+            // delivered request has always moved on before its timer
+            // would fire, and that timer could never act (DESIGN.md §4m).
+            queue.schedule_at(
+                now + self.p.resend_timeout + extra,
+                Ev::Resend { conn, token },
+            );
+        } else {
             let mut deliver_delay = self.p.rtt / 2 + extra;
             if self.plan.should_inject(FaultKind::EventDelay) {
                 deliver_delay += self.plan.delay_between(Nanos::ZERO, self.p.delay_max);
             }
             queue.schedule_at(now + deliver_delay, Ev::Deliver);
         }
-        // `run_chaos` asserts rtt/2 + max delay + retry budget <
-        // resend_timeout, so this timer can only find a *lost* request
-        // still AwaitDelivery — a delivered one has already moved on.
-        queue.schedule_at(
-            now + self.p.resend_timeout + extra,
-            Ev::Resend { conn, token },
-        );
     }
 
     /// Starts service on queued requests while slots are free and the
@@ -394,7 +398,8 @@ impl World for ChaosWorld {
                 // port, possibly acknowledging other connections' sends
                 // early — exactly how the shared bitmap behaves. Intake
                 // keeps running during a stall; only *service* stops.
-                for port in self.ev.take_pending(SERVER) {
+                self.ev.take_pending_into(SERVER, &mut self.delivered);
+                for &port in &self.delivered {
                     let conn = port as usize;
                     if matches!(self.conns[conn].state, ConnState::AwaitDelivery { .. }) {
                         self.conns[conn].state = ConnState::Queued;
@@ -627,18 +632,20 @@ pub fn arena_counters() -> (u64, u64) {
 ///
 /// Every cell of a chaos sweep rebuilds the same heap structure — the
 /// event-channel port tables, the grant slab, the connection vector,
-/// the waiting/in-service queues and the calendar wheel — so the arena
-/// keeps one set alive per thread and hands it out reset instead of
-/// letting each cell reallocate it. [`EventChannels::reset`] and
-/// [`GrantTable::reset`] restore the exact logical state of fresh
-/// subsystems (port numbering and grant generations restart from zero),
-/// so arena-backed runs are byte-identical to freshly-allocated ones —
-/// a feature-gated proptest pins that equivalence.
+/// the delivery buffer, the waiting/in-service queues and the calendar
+/// wheel — so the arena keeps one set alive per thread and hands it out
+/// reset instead of letting each cell reallocate it.
+/// [`EventChannels::reset`] and [`GrantTable::reset`] restore the exact
+/// logical state of fresh subsystems (port numbering and grant
+/// generations restart from zero), so arena-backed runs are
+/// byte-identical to freshly-allocated ones — a feature-gated proptest
+/// pins that equivalence.
 #[derive(Default)]
 pub struct ChaosArena {
     ev: EventChannels,
     gt: GrantTable,
     conns: Vec<Conn>,
+    delivered: Vec<u32>,
     waiting: VecDeque<usize>,
     in_service: Vec<usize>,
     queue: Option<EventQueue<Ev>>,
@@ -751,6 +758,7 @@ pub fn run_chaos_in(
         demotion_extra: Nanos::ZERO,
         wd: Watchdog::new(1, params.watchdog_timeout),
         conns,
+        delivered: std::mem::take(&mut arena.delivered),
         waiting: std::mem::take(&mut arena.waiting),
         in_service: std::mem::take(&mut arena.in_service),
         epoch: 0,
@@ -819,6 +827,7 @@ pub fn run_chaos_in(
     arena.ev = w.ev;
     arena.gt = w.gt;
     arena.conns = w.conns;
+    arena.delivered = w.delivered;
     arena.waiting = w.waiting;
     arena.in_service = w.in_service;
     arena.queue = Some(queue);
@@ -877,6 +886,52 @@ mod tests {
             faulty.completed,
             healthy.completed
         );
+    }
+
+    #[test]
+    fn every_dropped_notification_is_answered_by_one_resend_timer() {
+        let params = ChaosParams {
+            duration: Nanos::from_millis(400),
+            ..ChaosParams::default()
+        };
+        let longer = ChaosParams {
+            duration: params.duration * 2,
+            ..params
+        };
+        let rates = FaultRates::disabled().with_rate(FaultKind::EventDrop, 0.2);
+        let half = run_chaos(params, FaultPlan::new(13, rates), 5);
+        let full = run_chaos(longer, FaultPlan::new(13, rates), 5);
+        let conns = params.connections as u64;
+        for r in [&half, &full] {
+            r.check_conservation().expect("drop-only run conserves");
+            assert!(r.resends > 0, "drops must trigger resends");
+            // Each drop arms one timer, which resends, abandons, or is
+            // still pending at the end (at most one per connection).
+            let answered = r.resends + r.abandoned;
+            assert!(
+                answered <= r.drops,
+                "{answered} answers > {} drops",
+                r.drops
+            );
+            assert!(
+                r.drops <= answered + conns,
+                "{} drops > {answered} answers + {conns} pending timers",
+                r.drops
+            );
+        }
+        // A drop without a timer strands its connection for good, so a
+        // skipped timer would starve the second half of the longer run
+        // (its first half is exactly `half`).
+        let second = full.completed - half.completed;
+        assert!(
+            2 * second >= half.completed,
+            "second half completed {second} vs first half {}",
+            half.completed
+        );
+
+        let clean = FaultRates::disabled().with_rate(FaultKind::EventDrop, 0.0);
+        let r = run_chaos(params, FaultPlan::new(13, clean), 5);
+        assert_eq!((r.drops, r.resends), (0, 0));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! issuing the next request as soon as the previous response returns.
 //! This module prices one request on a platform ([`ServerModel`] →
 //! [`PlatformCosts`]) and derives closed-loop throughput and latency
-//! percentiles from a deterministic queueing simulation on the `xc-sim`
-//! engine.
+//! percentiles from a deterministic queueing simulation. Each worker is
+//! one FIFO server whose clients wait a constant RTT between reply and
+//! next request, so its run is an exact Lindley recursion over a ring
+//! of pending arrivals rather than an event queue (DESIGN.md §4m).
 //!
 //! # Per-worker decomposition
 //!
@@ -17,7 +19,7 @@
 //! [`shard_share`](xc_sim::stats::shard_share) of the connections with
 //! its own RNG substream, independent of every other worker. That makes
 //! the whole simulation embarrassingly parallel: the serial path runs
-//! the worker worlds one after another and merges their histograms in
+//! the workers one after another and merges their histograms in
 //! worker order; [`run_closed_loop_sharded`] runs contiguous worker
 //! ranges on OS threads and merges in the same order, so its output is
 //! byte-identical to the serial reference at any shard count.
@@ -29,7 +31,6 @@ use std::sync::Mutex;
 
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
-use xc_sim::engine::{EventQueue, Simulation, World};
 use xc_sim::rng::Rng;
 use xc_sim::stats::{shard_share, Histogram};
 use xc_sim::time::Nanos;
@@ -131,109 +132,22 @@ impl ClosedLoopResult {
     }
 }
 
-/// One worker's closed-loop world: a fixed set of connections, each with
-/// one outstanding request, against a single server draining a FIFO.
-struct WorkerLoop {
-    service: Nanos,
-    jitter: f64,
-    rtt: Nanos,
-    busy: bool,
-    completed: u64,
-    latency: Histogram,
-    rng: Rng,
-    /// Arrival timestamps for queued-but-unserved requests (FIFO).
-    waiting: VecDeque<Nanos>,
-    /// Slab of pre-drawn uniforms ([`Rng::next_f64_batch`]): one draw
-    /// per service start, refilled in bulk. The k-th slab value is
-    /// exactly the k-th `next_f64()` of the un-batched stream, so the
-    /// jitter sequence — and the histogram — is independent of batching.
-    uniforms: [f64; UNIFORM_SLAB],
-    /// Next unconsumed slab index; `UNIFORM_SLAB` means refill.
-    uniform_pos: usize,
-}
-
 /// Uniform draws fetched per RNG batch in the closed-loop hot path.
 const UNIFORM_SLAB: usize = 64;
 
-enum Ev {
-    /// A request arrives at the server (issued_at records client send time).
-    Arrive { issued_at: Nanos },
-    /// The server finishes the request issued at `issued_at`.
-    Finish { issued_at: Nanos },
-}
+/// ±15% uniform service-time variation keeps the histogram honest
+/// without changing the mean.
+const JITTER: f64 = 0.15;
 
-impl WorkerLoop {
-    #[inline]
-    fn next_uniform(&mut self) -> f64 {
-        if self.uniform_pos == UNIFORM_SLAB {
-            self.rng.next_f64_batch(&mut self.uniforms);
-            self.uniform_pos = 0;
-        }
-        let u = self.uniforms[self.uniform_pos];
-        self.uniform_pos += 1;
-        u
-    }
-
-    #[inline]
-    fn sample_service(&mut self) -> Nanos {
-        // ±jitter uniform service-time variation keeps the histogram
-        // honest without changing the mean.
-        let f = 1.0 + self.jitter * (self.next_uniform() * 2.0 - 1.0);
-        self.service.scale(f)
-    }
-}
-
-impl World for WorkerLoop {
-    type Event = Ev;
-
-    fn handle(&mut self, now: Nanos, event: Ev, queue: &mut EventQueue<Ev>) {
-        match event {
-            Ev::Arrive { issued_at } => {
-                if self.busy {
-                    self.waiting.push_back(issued_at);
-                } else {
-                    self.busy = true;
-                    let st = self.sample_service();
-                    queue.schedule_in(st, Ev::Finish { issued_at });
-                }
-            }
-            Ev::Finish { issued_at } => {
-                self.completed += 1;
-                let latency = (now - issued_at) + self.rtt;
-                self.latency.record_nanos(latency);
-                // The client issues its next request after a wire RTT.
-                queue.schedule_in(
-                    self.rtt,
-                    Ev::Arrive {
-                        issued_at: now + self.rtt,
-                    },
-                );
-                // Pull the next queued request, if any.
-                if let Some(waiting_since) = self.waiting.pop_front() {
-                    let st = self.sample_service();
-                    queue.schedule_in(
-                        st,
-                        Ev::Finish {
-                            issued_at: waiting_since,
-                        },
-                    );
-                } else {
-                    self.busy = false;
-                }
-            }
-        }
-    }
-}
-
-/// Worker worlds assembled from freshly allocated (or grown) storage.
+/// Worker runs served from freshly allocated arena storage.
 static ARENA_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Worker worlds assembled entirely from recycled arena storage.
+/// Worker runs served from recycled arena storage.
 static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
 
-/// Cumulative `(allocated, reused)` closed-loop world-construction
-/// counters across every thread's arena, for the bench ledger: a figure
-/// grid should report almost all reuses — one allocation per worker
-/// thread, not one per simulated worker world.
+/// Cumulative `(allocated, reused)` closed-loop arena counters across
+/// every thread's arena, for the bench ledger: a figure grid should
+/// report almost all reuses — one allocation per worker thread, not one
+/// per simulated worker.
 pub fn arena_counters() -> (u64, u64) {
     (
         ARENA_ALLOCS.load(Ordering::Relaxed),
@@ -241,15 +155,14 @@ pub fn arena_counters() -> (u64, u64) {
     )
 }
 
-/// Reusable backing storage for closed-loop worker worlds: the waiting
-/// FIFO and the calendar-queue wheel. [`EventQueue::reset`] restores
-/// the exact logical state of a fresh queue, so arena-backed worker
-/// runs are byte-identical to freshly-allocated ones — a feature-gated
-/// proptest pins that equivalence.
+/// Reusable backing storage for closed-loop worker runs: the ring of
+/// pending arrivals. Every run starts from a cleared ring, so
+/// arena-backed runs are byte-identical to freshly-allocated ones — a
+/// feature-gated proptest pins that equivalence.
 #[derive(Default)]
 pub struct LoopArena {
-    waiting: VecDeque<Nanos>,
-    queue: Option<EventQueue<Ev>>,
+    pending: VecDeque<Nanos>,
+    used: bool,
 }
 
 impl LoopArena {
@@ -258,37 +171,39 @@ impl LoopArena {
         Self::default()
     }
 
-    /// Resets the pooled storage and bumps the global alloc/reuse
-    /// counters; returns the recycled (or fresh) event queue.
-    fn prepare(&mut self, queue_capacity: usize) -> EventQueue<Ev> {
-        if self.queue.is_some() {
+    /// Clears the ring and bumps the global alloc/reuse counters.
+    fn prepare(&mut self) -> &mut VecDeque<Nanos> {
+        if self.used {
             ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
         } else {
             ARENA_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            self.used = true;
         }
-        self.waiting.clear();
-        match self.queue.take() {
-            Some(mut q) => {
-                q.reset();
-                q
-            }
-            None => EventQueue::with_capacity(queue_capacity),
-        }
+        self.pending.clear();
+        &mut self.pending
     }
 }
 
 thread_local! {
-    /// One arena per thread: serial figure grids recycle one set of
-    /// worker-world storage across every cell, and each shard thread of
-    /// [`run_closed_loop_sharded`] recycles across its worker range.
+    /// One arena per thread: serial figure grids recycle one ring across
+    /// every cell, and each shard thread of [`run_closed_loop_sharded`]
+    /// recycles across its worker range.
     static ARENA: RefCell<LoopArena> = RefCell::new(LoopArena::new());
 }
 
-/// Runs one worker's world: the contiguous global-connection range
+/// Runs one worker: the contiguous global-connection range
 /// `[first, first + count)` of `total` connections, seeded from worker
 /// `index`'s RNG substream, drawing storage from `arena`. Pure function
 /// of its non-arena arguments — the unit both the serial and the
 /// sharded drivers compose from.
+///
+/// The worker is one FIFO server and every client waits a constant RTT
+/// after its reply, so requests return to the server in the order they
+/// left it and the run is the Lindley recursion
+/// `finish_k = max(arrive_k, finish_{k-1}) + S_k`,
+/// `arrive_{k+count} = finish_k + rtt` over a ring of pending arrivals
+/// (DESIGN.md §4m). `S_k` is the k-th draw of the worker's stream. A
+/// request counts iff `finish_k <= duration`: the deadline is inclusive.
 #[allow(clippy::too_many_arguments)]
 fn run_worker_in(
     arena: &mut LoopArena,
@@ -300,35 +215,41 @@ fn run_worker_in(
     duration: Nanos,
     seed: u64,
 ) -> (u64, Histogram) {
-    // Steady state holds at most one pending event per connection (its
-    // in-flight Arrive or Finish); pre-size the queue so it never grows
-    // mid-run.
-    let queue = arena.prepare(count as usize + 1);
-    let world = WorkerLoop {
-        service: table.service,
-        jitter: 0.15,
-        rtt: table.rtt,
-        busy: false,
-        completed: 0,
-        latency: Histogram::new(),
-        rng: Rng::substream(seed, u64::from(index)),
-        waiting: std::mem::take(&mut arena.waiting),
-        uniforms: [0.0; UNIFORM_SLAB],
-        uniform_pos: UNIFORM_SLAB, // first draw triggers a refill
-    };
-    let mut sim = Simulation::from_parts(world, queue);
+    let pending = arena.prepare();
     for g in first..first + count {
         // Stagger initial arrivals across one RTT by *global* connection
-        // index, matching the single-world schedule shape.
-        let offset = table.rtt * g / total.max(1);
-        sim.queue_mut()
-            .schedule_at(offset, Ev::Arrive { issued_at: offset });
+        // index, matching the unsharded schedule shape.
+        pending.push_back(table.rtt * g / total.max(1));
     }
-    sim.run_until(duration);
-    let (world, queue) = sim.into_parts();
-    arena.waiting = world.waiting;
-    arena.queue = Some(queue);
-    (world.completed, world.latency)
+    let mut rng = Rng::substream(seed, u64::from(index));
+    // Slab of pre-drawn uniforms ([`Rng::next_f64_batch`]): the k-th slab
+    // value is exactly the k-th `next_f64()` of the un-batched stream.
+    let mut uniforms = [0.0; UNIFORM_SLAB];
+    let mut next = UNIFORM_SLAB; // first draw triggers a refill
+    let mut free_at = Nanos::ZERO;
+    let mut completed = 0u64;
+    let mut latency = Histogram::new();
+    while let Some(arrive) = pending.pop_front() {
+        if next == UNIFORM_SLAB {
+            rng.next_f64_batch(&mut uniforms);
+            next = 0;
+        }
+        let service = table
+            .service
+            .scale(1.0 + JITTER * (uniforms[next] * 2.0 - 1.0));
+        next += 1;
+        let finish = arrive.max(free_at) + service;
+        if finish > duration {
+            // Finishes never decrease, so no later request counts.
+            break;
+        }
+        completed += 1;
+        latency.record_nanos((finish - arrive) + table.rtt);
+        free_at = finish;
+        // The client issues its next request after a wire RTT.
+        pending.push_back(finish + table.rtt);
+    }
+    (completed, latency)
 }
 
 /// [`run_worker_in`] on the calling thread's recycled arena.
@@ -355,7 +276,7 @@ fn run_worker(
     })
 }
 
-/// [`run_closed_loop_from`] drawing every worker world's storage from
+/// [`run_closed_loop_from`] drawing every worker's storage from
 /// `arena` — the seam the recycled-vs-fresh equivalence proptest
 /// drives. Byte-identical to a run over a fresh arena.
 pub fn run_closed_loop_from_in(
@@ -385,7 +306,7 @@ pub fn run_closed_loop_from_in(
 
 /// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
 /// table: `connections` concurrent clients, for `duration` of simulated
-/// time. This is the serial golden reference — worker worlds run one
+/// time. This is the serial golden reference — workers run one
 /// after another on the calling thread's recycled arena, results merged
 /// in worker-index order.
 pub fn run_closed_loop_from(
@@ -412,7 +333,7 @@ pub fn run_closed_loop(
     run_closed_loop_from(&table, connections, duration, seed)
 }
 
-/// [`run_closed_loop_from`] with worker worlds distributed over `shards`
+/// [`run_closed_loop_from`] with workers distributed over `shards`
 /// OS threads. Workers are split into contiguous index ranges (the same
 /// [`shard_share`] partition the runner uses for cells) and each
 /// thread's partial results are merged back in worker-index order, so
@@ -431,7 +352,7 @@ pub fn run_closed_loop_sharded(
         return run_closed_loop_from(table, connections, duration, seed);
     }
     let total = u64::from(connections);
-    // Per-worker world descriptors in worker order: (index, first, count).
+    // Per-worker descriptors in worker order: (index, first, count).
     let mut plan = Vec::with_capacity(workers as usize);
     let mut first = 0u64;
     for w in 0..workers {

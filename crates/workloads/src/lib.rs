@@ -9,8 +9,9 @@
 //!   (Figures 4 and 5),
 //! * [`iperf`] — TCP stream throughput (Figure 5),
 //! * [`http`] — the closed-loop request/response engine behind `ab`,
-//!   `wrk` and `memtier_benchmark`, decomposed into per-worker shard
-//!   worlds ([`http::run_closed_loop_sharded`]),
+//!   `wrk` and `memtier_benchmark`, decomposed into per-worker FIFO
+//!   servers, each run as an exact Lindley recursion
+//!   ([`http::run_closed_loop_sharded`]),
 //! * [`costs`] — the precomputed [`PlatformCosts`] table every
 //!   request/response simulation reads instead of re-deriving platform
 //!   costs per event,

@@ -3,9 +3,13 @@
 //!
 //! The always-on unit suites pin these properties at fixed points; the
 //! properties here quantify over the interesting inputs: *any* shard
-//! count must reproduce the serial reference bit-for-bit, and *any*
+//! count must reproduce the serial reference bit-for-bit, *any*
 //! deployment in the evaluation matrix must derive the same costs
-//! through [`PlatformCosts`] as through the per-event path.
+//! through [`PlatformCosts`] as through the per-event path, and *any*
+//! cost table must run the same through the closed loop's recursion as
+//! through the event-driven [`oracle`].
+
+mod oracle;
 
 use proptest::prelude::*;
 use xc_runtimes::cloud::CloudEnv;
@@ -103,6 +107,38 @@ proptest! {
         // And the capacity ceiling follows from those fields alone.
         let expect = f64::from(server.parallelism()) / table.service.as_secs_f64();
         prop_assert_eq!(table.capacity_rps().to_bits(), expect.to_bits());
+    }
+
+    /// The closed loop's Lindley recursion is the event-driven world,
+    /// bit for bit, for any cost table — down to 1 ns services and a
+    /// zero RTT, where arrivals tie with finishes and initial offsets
+    /// collide — and at a deadline placed exactly on the last finish.
+    #[test]
+    fn closed_loop_matches_event_driven_oracle(
+        service in 1u64..5_000,
+        rtt in 0u64..5_000,
+        parallelism in 1u32..5,
+        connections in 1u32..64,
+        horizon in 1u64..200_000,
+        seed in any::<u64>(),
+    ) {
+        let table = PlatformCosts {
+            service: Nanos::from_nanos(service),
+            rtt: Nanos::from_nanos(rtt),
+            parallelism,
+        };
+        let horizon = Nanos::from_nanos(horizon);
+        let first = oracle::run(&table, connections, horizon, seed);
+        for duration in [horizon, first.last_finish] {
+            let got = run_closed_loop_from(&table, connections, duration, seed);
+            let want = oracle::run(&table, connections, duration, seed);
+            prop_assert_eq!(got.latency.count(), want.completed);
+            prop_assert_eq!(got.latency, want.latency);
+            prop_assert_eq!(
+                got.throughput_rps.to_bits(),
+                (want.completed as f64 / duration.as_secs_f64()).to_bits()
+            );
+        }
     }
 
     /// Closed-loop arena recycling is observationally invisible: a

@@ -189,10 +189,20 @@ impl EventChannels {
     /// Takes (clears and returns) all unmasked pending ports for `dom`,
     /// in port order.
     pub fn take_pending(&mut self, dom: DomainId) -> Vec<u32> {
-        let Some(table) = self.domains.get_mut(dom.0 as usize) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
+        self.take_pending_into(dom, &mut out);
+        out
+    }
+
+    /// [`EventChannels::take_pending`] into a caller-owned buffer: `out`
+    /// is cleared, then filled with `dom`'s unmasked pending ports in
+    /// port order (their bits cleared), so a delivery loop can reuse one
+    /// allocation across every drain.
+    pub fn take_pending_into(&mut self, dom: DomainId, out: &mut Vec<u32>) {
+        out.clear();
+        let Some(table) = self.domains.get_mut(dom.0 as usize) else {
+            return;
+        };
         for (port, p) in table.ports.iter_mut().enumerate() {
             if p.pending && !p.masked {
                 p.pending = false;
@@ -200,7 +210,6 @@ impl EventChannels {
             }
         }
         self.deliveries += out.len() as u64;
-        out
     }
 
     /// Fault-injection hook: clears `dom`'s pending bit on `port` as if
@@ -294,6 +303,41 @@ mod tests {
         ev.set_masked(b, bp, false).unwrap();
         assert!(ev.has_pending(b));
         assert_eq!(ev.take_pending(b), vec![bp]);
+    }
+
+    #[test]
+    fn take_pending_into_matches_take_pending() {
+        // Three channels a→b; b's middle port is masked.
+        let mut ev = EventChannels::new();
+        let (a, b) = (DomainId(1), DomainId(2));
+        let mut b_ports = Vec::new();
+        for _ in 0..3 {
+            let ap = ev.alloc_unbound(a).unwrap();
+            let bp = ev.alloc_unbound(b).unwrap();
+            ev.bind(a, ap, b, bp).unwrap();
+            ev.send(a, ap).unwrap();
+            b_ports.push(bp);
+        }
+        ev.set_masked(b, b_ports[1], true).unwrap();
+        let mut into = ev.clone();
+
+        let taken = ev.take_pending(b);
+        let mut buf = vec![99, 98, 97, 96]; // stale contents are cleared
+        into.take_pending_into(b, &mut buf);
+        assert_eq!(taken, vec![b_ports[0], b_ports[2]]);
+        assert_eq!(buf, taken);
+        assert_eq!(into.deliveries(), ev.deliveries());
+        assert_eq!(into.deliveries(), 2);
+        // The masked port stays pending in both.
+        assert_eq!(into.pending_count(b), 1);
+        assert_eq!(ev.pending_count(b), 1);
+
+        // An unknown domain yields nothing and delivers nothing.
+        assert!(ev.take_pending(DomainId(9)).is_empty());
+        buf.push(7);
+        into.take_pending_into(DomainId(9), &mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(into.deliveries(), ev.deliveries());
     }
 
     #[test]

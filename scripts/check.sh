@@ -26,8 +26,12 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, all targets incl. feature-gated code, warnings are errors) =="
+# The same proptest features the property-suite step below runs, so no
+# property code goes unlinted.
 cargo clippy --workspace --all-targets \
     --features xc-sim/proptest,xc-workloads/proptest,xc-faults/proptest,xc-verify/proptest,xc-verify/profile \
+    --features xc-isa/proptest,xc-libos/proptest,xc-xen/proptest,xc-abom/proptest \
+    --features xc-runtimes/proptest,xcontainers/proptest \
     -- -D warnings
 
 echo "== runner determinism suite =="
