@@ -4,28 +4,21 @@
 //!
 //! The experiment logic lives in [`xc_bench::harness::all_experiments`]
 //! and runs through the deterministic parallel [`Runner`] (`--jobs N`,
-//! default: available parallelism). When running with more than one
-//! worker, [`measure`] also re-runs the pass serially and this wrapper
-//! fails unless the parallel output is byte-identical — the determinism
-//! contract, enforced on every invocation. Timings go to stderr and
-//! `BENCH_runner.json`, never stdout, so stdout stays byte-comparable
-//! across `--jobs` values.
+//! default: available parallelism); stdout is byte-identical at every
+//! `--jobs` value (`scripts/check.sh` diffs `--jobs 1` against
+//! `--jobs N`).
 //!
 //! Crash-safe flags (DESIGN.md §4j): `--resume` replays completed
 //! measurement groups from the journal, `--fresh` discards it first;
 //! both checkpoint each group and stop gracefully on SIGINT (exit 3,
-//! resumable). Journaled runs skip the serial reference re-run and the
-//! wall-time ledger (a partial wall would poison the trajectory) but
-//! keep the acceptance-band exit status.
-//!
-//! [`measure`]: xc_bench::harness::measure
+//! resumable), and keep the acceptance-band exit status.
 
 use std::path::Path;
 
-use xc_bench::harness::{all_experiments, measure, Journaled};
+use xc_bench::harness::{all_experiments, Journaled};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
     let resume = ResumeArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -68,26 +61,9 @@ fn main() {
         return;
     }
 
-    let (out, entry) = measure("all_experiments", &runner, all_experiments::run);
-    match (entry.serial_wall_ms, entry.parallel_matches_serial) {
-        (Some(serial_ms), Some(matches)) => eprintln!(
-            "all_experiments: {:.1} ms at --jobs {}, {:.1} ms serial reference, outputs {}",
-            entry.wall_ms,
-            runner.jobs(),
-            serial_ms,
-            if matches { "identical" } else { "DIVERGED" }
-        ),
-        _ => eprintln!("all_experiments: {:.1} ms at --jobs 1", entry.wall_ms),
-    }
-
+    let out = all_experiments::run(&runner);
     print!("{}", out.text);
     record("all_experiments", &out.findings);
-    record_bench(&entry);
-
-    if entry.parallel_matches_serial == Some(false) {
-        eprintln!("error: parallel output differs from the serial reference");
-        std::process::exit(1);
-    }
     let out_of_band = out.findings.iter().filter(|f| !f.in_band).count();
     if out_of_band > 0 {
         std::process::exit(1);

@@ -12,15 +12,14 @@
 //! discards any journal first. Both checkpoint each cell as it
 //! completes and stop gracefully on SIGINT (exit 3, resumable).
 //! `--halt-after N` and `--max-wall-ms N` bound a checkpointing run for
-//! testing and operations. Journaled runs skip the `BENCH_runner.json`
-//! ledger — a partial wall time would poison the perf trajectory.
+//! testing and operations.
 
 use std::path::Path;
 
-use xc_bench::harness::{cluster, measure, Journaled};
+use xc_bench::harness::{cluster, Journaled};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -64,12 +63,7 @@ fn main() {
         return;
     }
 
-    let (out, mut entry) = measure(name, &runner, |r| cluster::run(r, quick));
+    let out = cluster::run(&runner, quick);
     print!("{}", out.text);
     record("cluster", &out.findings);
-    let p = cluster::params(quick);
-    entry.metrics.push(("hosts", f64::from(p.hosts)));
-    entry.metrics.push(("domains", p.total_domains() as f64));
-    entry.metrics.push(("clients", p.clients as f64));
-    record_bench(&entry);
 }

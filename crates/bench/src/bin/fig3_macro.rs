@@ -5,30 +5,14 @@
 //! Each cell comes from a deterministic closed-loop simulation of the
 //! benchmark client against the platform's server model. The logic
 //! lives in [`xc_bench::harness::fig3`]; this wrapper parses `--jobs`,
-//! prints the result and records findings plus wall time and
-//! closed-loop cache counters.
-//!
-//! One [`ClosedLoopCache`] persists across everything this process
-//! runs — the measured grid *and* the serial reference pass at
-//! `--jobs > 1` — and it is keyed on derived
-//! [`xcontainers::prelude::PlatformCosts`] tables, so platforms that
-//! derive to identical costs (the baseline inside the matrix, the
-//! patch-blind X-Container/Clear pairs) and whole repeated grids all
-//! hit. The ledger therefore records the cumulative hit/miss counts,
-//! not just the first grid's.
+//! prints the result and records findings.
 
-use xc_bench::harness::{fig3, measure};
+use xc_bench::harness::fig3;
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
-use xcontainers::prelude::ClosedLoopCache;
+use xc_bench::runner::Runner;
 
 fn main() {
-    let runner = Runner::from_args();
-    let cache = ClosedLoopCache::new();
-    let (out, mut entry) = measure("fig3_macro", &runner, |r| fig3::run_with(r, &cache));
+    let out = fig3::run(&Runner::from_args());
     print!("{}", out.text);
     record("fig3", &out.findings);
-    entry.cache_hits = Some(cache.hits());
-    entry.cache_misses = Some(cache.misses());
-    record_bench(&entry);
 }

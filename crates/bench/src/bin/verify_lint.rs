@@ -5,11 +5,9 @@
 //! Modes:
 //!
 //! - default: full sweep — print the table and findings, write
-//!   `results/verify_lint.json`, upsert a `BENCH_runner.json` row whose
-//!   extra metrics (`coverage_pct`, `unknown_sites`, `upgraded_sites`)
-//!   record the coverage trajectory, and apply the gates;
+//!   `results/verify_lint.json`, and apply the gates;
 //! - `--quick`: gates only (digest, coverage floor, Unknown ceiling) —
-//!   no ledger writes, exit 1 on any failure (`check.sh` runs this);
+//!   no results written, exit 1 on any failure (`check.sh` runs this);
 //! - `--json`: print the machine-readable sweep instead of the table;
 //! - `--write-golden`: refresh the committed digest at [`GOLDEN_PATH`]
 //!   (run from the repository root).
@@ -19,25 +17,16 @@
 //! verdict, a rule id, or a reason chain is caught here before it
 //! lands.
 
-use std::time::Instant;
-
 use xc_bench::harness::verify_lint::{
     self, within_unknown_ceiling, COVERAGE_FLOOR_PCT, UNKNOWN_CEILING,
 };
+use xc_bench::journal::fnv;
 use xc_bench::record;
-use xc_bench::runner::{record_bench, BenchEntry, Runner};
+use xc_bench::runner::Runner;
 
 /// Committed golden digest of the serial sweep output, relative to the
 /// repository root.
 const GOLDEN_PATH: &str = "crates/bench/golden/verify_lint.digest";
-
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> String {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
-}
 
 fn main() {
     let mut quick = false;
@@ -63,18 +52,17 @@ fn main() {
     }
 
     // The digest always hashes the serial sweep, independent of --jobs.
-    let digest = fnv1a(verify_lint::run(&Runner::new(1)).stable_digest().bytes());
+    let digest = format!(
+        "{:016x}",
+        fnv(verify_lint::run(&Runner::new(1)).stable_digest().as_bytes())
+    );
     if write_golden {
         std::fs::write(GOLDEN_PATH, format!("{digest}\n")).expect("write golden digest");
         println!("verify_lint: wrote golden digest {digest} to {GOLDEN_PATH}");
         return;
     }
 
-    let runner = Runner::from_args();
-    let start = Instant::now();
-    let out = verify_lint::run(&runner);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
+    let out = verify_lint::run(&Runner::from_args());
     if !quick {
         if json {
             println!("{}", out.machine_json());
@@ -82,19 +70,6 @@ fn main() {
             print!("{}", out.render());
         }
         record("verify_lint", &out.findings());
-        let mut entry = BenchEntry::timing("verify_lint", runner.jobs(), wall_ms);
-        entry.metrics = vec![
-            ("coverage_pct", out.coverage_pct()),
-            ("unknown_sites", out.total_unknown() as f64),
-            ("upgraded_sites", out.total_upgraded() as f64),
-        ];
-        if runner.jobs() > 1 {
-            let serial_start = Instant::now();
-            let serial = verify_lint::run(&Runner::new(1));
-            entry.serial_wall_ms = Some(serial_start.elapsed().as_secs_f64() * 1e3);
-            entry.parallel_matches_serial = Some(serial.stable_digest() == out.stable_digest());
-        }
-        record_bench(&entry);
     }
 
     let golden = std::fs::read_to_string(GOLDEN_PATH)

@@ -3,7 +3,6 @@
 
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::figure3_profiles;
-use xcontainers::workloads::http::arena_counters;
 
 use super::HarnessOutput;
 use crate::runner::Runner;
@@ -97,20 +96,16 @@ fn cell(
 }
 
 /// Runs the full cloud × profile grid, one cell per (cloud, profile),
-/// every cell sharing `cache`. The `fig3_macro` binary passes one cache
-/// that persists across its measured run *and* the serial reference run
-/// inside [`super::measure`], so repeated grids cost almost nothing.
+/// every cell sharing `cache`. A cache that persists across calls
+/// makes repeated grids cost almost nothing.
 ///
 /// Cell text and findings are unaffected by cache state (results are
 /// observationally identical to uncached simulation), so output stays
 /// byte-identical at every `--jobs` value even though hit/miss totals
-/// depend on cell scheduling. The reported `cache_stats` are this
-/// call's delta, not the cache's lifetime totals.
+/// depend on cell scheduling.
 pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
     let profiles = figure3_profiles();
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-    let (allocs0, reuses0) = arena_counters();
     let grid: Vec<(CloudEnv, RequestProfile)> = clouds()
         .into_iter()
         .flat_map(|cloud| profiles.iter().map(move |p| (cloud, p.clone())))
@@ -120,14 +115,6 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
         cell(*cloud, profile, &costs, cache)
     });
     let mut out = HarnessOutput::merge(cells);
-    out.cache_stats = Some((cache.hits() - hits0, cache.misses() - misses0));
-    // Closed-loop worker-world arena effectiveness (ledger-only; the
-    // alloc/reuse split depends on thread count and cache hits).
-    let (allocs1, reuses1) = arena_counters();
-    out.metrics = vec![
-        ("arena_allocs", (allocs1 - allocs0) as f64),
-        ("arena_reuses", (reuses1 - reuses0) as f64),
-    ];
     out.text.push_str(
         "Shape (§5.3): X-Containers lead Docker most on memcached (syscall-\n\
          dense ops), moderately on NGINX, and only match it on Redis (user-\n\
@@ -137,8 +124,8 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     out
 }
 
-/// [`run_with`] against a fresh cache — the entry point `all_experiments`
-/// and the determinism suite use.
+/// [`run_with`] against a fresh cache — the entry point the `fig3_macro`
+/// binary, `all_experiments` and the determinism suite use.
 pub fn run(runner: &Runner) -> HarnessOutput {
     let cache = ClosedLoopCache::new();
     run_with(runner, &cache)

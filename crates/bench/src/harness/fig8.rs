@@ -95,10 +95,5 @@ pub fn run(runner: &Runner) -> HarnessOutput {
             in_band: d50 > x50,
         },
     ];
-    HarnessOutput {
-        text,
-        findings,
-        cache_stats: None,
-        metrics: Vec::new(),
-    }
+    HarnessOutput { text, findings }
 }

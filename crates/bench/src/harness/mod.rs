@@ -26,46 +26,13 @@ pub mod verify_study;
 
 use std::io;
 use std::path::Path;
-use std::time::Instant;
 
 use crate::journal::{
     self, install_sigint_handler, run_resumable, CellPayload, Interrupt, Journal, ResumeArgs,
     ResumeMode,
 };
-use crate::runner::{BenchEntry, RunPolicy, Runner};
+use crate::runner::{RunPolicy, Runner};
 use crate::Finding;
-
-/// Runs one harness under `runner` and produces its fully-populated
-/// benchmark ledger row: wall time, any cache counters the harness
-/// reports, and — when `runner` is parallel — a serial (`--jobs 1`)
-/// reference run with `serial_wall_ms` and the byte-identity bit set.
-///
-/// Serial invocations get a timing-plus-cache row only; the optional
-/// reference fields stay unset (and therefore unserialized).
-pub fn measure<F>(harness: &'static str, runner: &Runner, run: F) -> (HarnessOutput, BenchEntry)
-where
-    F: Fn(&Runner) -> HarnessOutput,
-{
-    let start = Instant::now();
-    let out = run(runner);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut entry = BenchEntry::timing(harness, runner.jobs(), wall_ms);
-    if let Some((hits, misses)) = out.cache_stats {
-        entry.cache_hits = Some(hits);
-        entry.cache_misses = Some(misses);
-    }
-    entry.metrics.extend(out.metrics.iter().copied());
-    if runner.jobs() > 1 {
-        let serial_start = Instant::now();
-        let serial = run(&Runner::new(1));
-        entry.serial_wall_ms = Some(serial_start.elapsed().as_secs_f64() * 1e3);
-        entry.parallel_matches_serial = Some(
-            serial.text == out.text
-                && crate::findings_json(&serial.findings) == crate::findings_json(&out.findings),
-        );
-    }
-    (out, entry)
-}
 
 /// Outcome of a journaled (crash-safe) harness run.
 #[derive(Debug)]
@@ -182,15 +149,6 @@ pub struct HarnessOutput {
     pub text: String,
     /// The paper-vs-measured rows for `results/<experiment>.json`.
     pub findings: Vec<Finding>,
-    /// `(hits, misses)` of any memoization the harness ran behind —
-    /// e.g. deduplicated closed-loop simulations — for the benchmark
-    /// ledger. `None` when the harness has no cache.
-    pub cache_stats: Option<(u64, u64)>,
-    /// Extra named numeric metrics for the benchmark ledger (folded into
-    /// [`BenchEntry::metrics`] by [`measure`]) — e.g. the cluster
-    /// study's world-arena allocation counters. Excluded from the
-    /// harness's deterministic text/findings output.
-    pub metrics: Vec<(&'static str, f64)>,
 }
 
 impl HarnessOutput {
@@ -202,11 +160,6 @@ impl HarnessOutput {
             text.push_str(&t);
             findings.extend(f);
         }
-        HarnessOutput {
-            text,
-            findings,
-            cache_stats: None,
-            metrics: Vec::new(),
-        }
+        HarnessOutput { text, findings }
     }
 }

@@ -399,7 +399,7 @@ pub struct WorklistProfile {
 /// corpus: one `AbsInt::analyze_profiled` run per library, reporting
 /// worklist traffic and phase wall times. The counters are a pure
 /// function of each image; the µs columns are host noise, so the whole
-/// pass stays out of the findings, digests and the benchmark gate.
+/// pass stays out of the findings and digests.
 pub fn worklist_profiles(runner: &Runner) -> Vec<WorklistProfile> {
     let profiles = table1_profiles();
     runner.run(profiles.len(), |i| {

@@ -27,15 +27,13 @@
 //! figure), executed through the deterministic parallel [`runner`]:
 //! every binary accepts `--jobs N` (default: available parallelism,
 //! `--jobs 1` = legacy serial path) and produces byte-identical output
-//! at every worker count. Wall-clock and cache measurements accumulate
-//! in `BENCH_runner.json` (see [`runner::record_bench`]).
+//! at every worker count.
 //!
-//! The Criterion benches (`cargo bench -p xc-bench`) measure the *model
-//! itself* (simulator throughput, ABOM patch latency, platform cost
-//! evaluation) so regressions in the reproduction infrastructure are
-//! caught.
+//! Wall time is measured in one place only: the `perfbench` benchmark
+//! (`perfbench/`, declared by `BENCHMARK.json`), which runs the model
+//! repeatedly, host-normalised and split per layer. The harness
+//! binaries time nothing.
 
-pub mod gate;
 pub mod harness;
 pub mod journal;
 pub mod runner;
@@ -96,8 +94,8 @@ pub fn write_findings<W: io::Write>(sink: &mut W, findings: &[Finding]) -> io::R
 }
 
 /// Renders findings exactly as [`record`] serializes them — shared by the
-/// determinism tests and the runner's serial-vs-parallel self-checks.
-/// Delegates to [`write_findings`] so the two can never drift.
+/// determinism and golden-digest tests. Delegates to [`write_findings`]
+/// so the two can never drift.
 pub fn findings_json(findings: &[Finding]) -> String {
     let mut out = Vec::new();
     write_findings(&mut out, findings).expect("Vec sink cannot fail");

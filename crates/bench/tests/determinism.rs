@@ -6,7 +6,9 @@
 //! quantifies over.
 
 use xc_bench::findings_json;
-use xc_bench::harness::{chaos, cluster, fig3, fig4, fig5, fig8, verify_lint, verify_study};
+use xc_bench::harness::{
+    ablations, chaos, cluster, fig3, fig4, fig5, fig8, verify_lint, verify_study,
+};
 use xc_bench::runner::{RunPolicy, Runner};
 use xcontainers::prelude::{ClosedLoopCache, FaultPlan, FaultRates, Histogram, Rng, Summary};
 
@@ -39,10 +41,11 @@ fn fig3_is_jobs_invariant() {
 fn fig3_shared_cache_is_run_invariant() {
     let cache = ClosedLoopCache::new();
     let cold = fig3::run_with(&Runner::new(2), &cache);
+    let (hits0, misses0) = (cache.hits(), cache.misses());
     let warm = fig3::run_with(&Runner::new(2), &cache);
     assert_eq!(cold.text, warm.text);
     assert_eq!(findings_json(&cold.findings), findings_json(&warm.findings));
-    let (hits, misses) = warm.cache_stats.expect("fig3 reports cache stats");
+    let (hits, misses) = (cache.hits() - hits0, cache.misses() - misses0);
     assert_eq!(misses, 0, "a warm cache re-simulates nothing");
     assert!(hits > 0);
 }
@@ -80,6 +83,14 @@ fn fig5_is_jobs_invariant() {
 fn fig8_is_jobs_invariant() {
     assert_jobs_invariant(|r| {
         let out = fig8::run(r);
+        (out.text, findings_json(&out.findings))
+    });
+}
+
+#[test]
+fn ablations_is_jobs_invariant() {
+    assert_jobs_invariant(|r| {
+        let out = ablations::run(r);
         (out.text, findings_json(&out.findings))
     });
 }

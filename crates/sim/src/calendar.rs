@@ -18,8 +18,8 @@
 //! order within an instant — is a total order independent of the
 //! container: heap and wheel are observationally identical. The
 //! [`HeapQueue`] reference implementation (the engine's previous
-//! container, verbatim) exists so tests and the `queue_bench` binary can
-//! check that equivalence empirically on random schedules.
+//! container, verbatim) exists so the unit tests and proptests can check
+//! that equivalence empirically on random schedules.
 //!
 //! # Structure
 //!
@@ -53,7 +53,7 @@
 //! event spacing far exceeds the bucket width and the old linear scan
 //! walked hundreds of empty buckets per pop. The pre-bitmap scan
 //! survives behind [`CalendarQueue::new_linear_scan`] purely as the
-//! reference strategy `queue_bench --sparse` measures against.
+//! reference strategy the equivalence tests compare against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -139,7 +139,7 @@ impl<E> Ord for Entry<E> {
 
 /// The engine's previous event container — a plain binary min-heap on
 /// the packed key — kept as the reference implementation the calendar
-/// queue is checked against (equivalence proptest, `queue_bench`).
+/// queue is checked against (equivalence unit tests and proptest).
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
 }
@@ -246,8 +246,8 @@ pub struct CalendarQueue<E> {
     /// Sum of cursor-epoch jumps since the last adaptation check.
     jump_sum: u64,
     /// Use the pre-bitmap linear empty-bucket probe in [`advance`]
-    /// (`Self::advance`) — the reference strategy `queue_bench --sparse`
-    /// compares the bitmap scan against. Never set on engine queues.
+    /// (`Self::advance`) — the reference strategy the equivalence tests
+    /// compare the bitmap scan against. Never set on engine queues.
     linear_advance: bool,
 }
 
@@ -272,8 +272,8 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Creates a queue pinned to the default bucket width — the
-    /// pre-adaptive behaviour, kept as the fixed-width reference lane
-    /// `queue_bench --sparse` measures the adaptive queue against.
+    /// pre-adaptive behaviour, kept as the fixed-width reference the
+    /// equivalence tests check the adaptive queue against.
     pub fn new_fixed_width() -> Self {
         CalendarQueue {
             adaptive: false,
@@ -282,9 +282,9 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Creates a queue whose `advance` probes ring buckets one by one
-    /// (the pre-bitmap strategy, fixed width). Kept only so
-    /// `queue_bench --sparse` and the equivalence tests can measure the
-    /// bitmap scan against its predecessor; the engine always uses
+    /// (the pre-bitmap strategy, fixed width). Kept only so the
+    /// equivalence tests can check the bitmap scan against its
+    /// predecessor; the engine always uses
     /// [`CalendarQueue::new`].
     pub fn new_linear_scan() -> Self {
         CalendarQueue {

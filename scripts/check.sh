@@ -1,26 +1,18 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: formatting, lints, the runner determinism
-# suite, the property suites, a serial-vs-parallel smoke pass of the
-# combined acceptance harness, and perfbench's tests plus a 2-second
-# reference-digest smoke per workload. Fails on any diff, warning, test
-# failure, digest mismatch, or byte divergence between --jobs 1 and
-# --jobs N output.
-#
-# `--bench` additionally runs the perf section: the queue_bench fig4
-# golden-digest smoke, the cluster_study byte-identity gate, and the
-# wall-time regression gate (`bench_gate`) over a fresh BENCH_runner.json
-# versus the committed trajectory. Set XC_BENCH_GATE=off to disarm the
-# regression comparison on timing-noisy hosts (the byte gates still run).
+# suite and the fig4 golden digest, the property suites, serial-vs-parallel
+# byte gates for the combined acceptance harness and the chaos and
+# cluster studies, and perfbench's tests plus a 2-second reference-digest
+# smoke per workload. Fails on any diff, warning, test failure, digest
+# mismatch, or byte divergence between --jobs 1 and --jobs N output.
+# Wall time is perfbench's job (BENCHMARK.json); nothing here times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench=0
-for arg in "$@"; do
-    case "$arg" in
-        --bench) bench=1 ;;
-        *) echo "usage: $0 [--bench]" >&2; exit 2 ;;
-    esac
-done
+if [ "$#" -ne 0 ]; then
+    echo "usage: $0" >&2
+    exit 2
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -34,8 +26,8 @@ cargo clippy --workspace --all-targets \
     --features xc-runtimes/proptest,xcontainers/proptest \
     -- -D warnings
 
-echo "== runner determinism suite =="
-cargo test -q -p xc-bench --test determinism
+echo "== runner determinism suite and fig4 golden digest =="
+cargo test -q -p xc-bench --test determinism --test golden
 
 echo "== property suites (every crate's proptest feature on) =="
 cargo test -q --workspace \
@@ -68,7 +60,7 @@ if ! diff -q "$tmp/serial.json" "$tmp/parallel.json" >/dev/null; then
     exit 1
 fi
 awk -v s="$t0" -v m="$t1" -v p="$t2" -v j="$jobs" 'BEGIN {
-    printf "ok: identical output at --jobs 1 (%.1fs) and --jobs %s (%.1fs, incl. serial self-check)\n",
+    printf "ok: identical output at --jobs 1 (%.1fs) and --jobs %s (%.1fs)\n",
         m - s, j, p - m
 }'
 
@@ -92,6 +84,23 @@ if grep -q "VIOLATED" "$tmp/chaos-serial.out"; then
     exit 1
 fi
 echo "ok: chaos sweep byte-identical at --jobs 1 and --jobs $jobs, all ledgers balanced"
+
+echo "== cluster_study --quick --jobs 1 vs --jobs N byte-identity gate =="
+cargo build -q --release -p xc-bench --bin cluster_study
+target/release/cluster_study --quick --jobs 1 >"$tmp/cluster-serial.out"
+cp results/cluster.json "$tmp/cluster-serial.json"
+target/release/cluster_study --quick --jobs "$jobs" >"$tmp/cluster-parallel.out"
+cp results/cluster.json "$tmp/cluster-parallel.json"
+if ! diff -q "$tmp/cluster-serial.out" "$tmp/cluster-parallel.out" >/dev/null; then
+    echo "FAIL: cluster_study stdout diverges between --jobs 1 and --jobs $jobs" >&2
+    diff "$tmp/cluster-serial.out" "$tmp/cluster-parallel.out" >&2 || true
+    exit 1
+fi
+if ! diff -q "$tmp/cluster-serial.json" "$tmp/cluster-parallel.json" >/dev/null; then
+    echo "FAIL: results/cluster.json diverges between --jobs 1 and --jobs $jobs" >&2
+    exit 1
+fi
+echo "ok: cluster study byte-identical at --jobs 1 and --jobs $jobs"
 
 echo "== panic isolation smoke: a poisoned cell must not abort the grid =="
 cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the_grid
@@ -147,46 +156,5 @@ if [ -e results/.journal/cluster_study_quick/cells.jsonl ]; then
     exit 1
 fi
 echo "ok: interrupted run resumed to byte-identical output, journal retired"
-
-if [ "$bench" -eq 1 ]; then
-    # Snapshot the committed trajectory before the perf section's
-    # harness runs rewrite BENCH_runner.json in place.
-    git show HEAD:BENCH_runner.json >"$tmp/bench-baseline.json" 2>/dev/null \
-        || cp BENCH_runner.json "$tmp/bench-baseline.json"
-
-    echo "== cluster_study --quick --jobs 1 vs --jobs N byte-identity gate =="
-    cargo build -q --release -p xc-bench --bin cluster_study
-    target/release/cluster_study --quick --jobs 1 >"$tmp/cluster-serial.out"
-    cp results/cluster.json "$tmp/cluster-serial.json"
-    target/release/cluster_study --quick --jobs "$jobs" >"$tmp/cluster-parallel.out"
-    cp results/cluster.json "$tmp/cluster-parallel.json"
-    if ! diff -q "$tmp/cluster-serial.out" "$tmp/cluster-parallel.out" >/dev/null; then
-        echo "FAIL: cluster_study stdout diverges between --jobs 1 and --jobs $jobs" >&2
-        diff "$tmp/cluster-serial.out" "$tmp/cluster-parallel.out" >&2 || true
-        exit 1
-    fi
-    if ! diff -q "$tmp/cluster-serial.json" "$tmp/cluster-parallel.json" >/dev/null; then
-        echo "FAIL: results/cluster.json diverges between --jobs 1 and --jobs $jobs" >&2
-        exit 1
-    fi
-    echo "ok: cluster study byte-identical at --jobs 1 and --jobs $jobs"
-
-    echo "== perf smoke: queue_bench --quick (fig4 golden digest gate) =="
-    cargo build -q --release -p xc-bench --bin queue_bench
-    target/release/queue_bench --quick --sparse
-
-    echo "== perf regression gate: fresh wall times vs committed BENCH_runner.json =="
-    cargo build -q --release -p xc-bench --bin fig3_macro --bin cluster_study --bin bench_gate
-    # Refresh the gated harnesses at the jobs values the committed
-    # trajectory was recorded at, so the gate compares like with like
-    # (each binary records the --jobs it actually ran with).
-    target/release/fig3_macro --jobs 2 >/dev/null
-    target/release/all_experiments --jobs 2 >/dev/null
-    target/release/cluster_study --jobs 1 >/dev/null
-    target/release/chaos_study --jobs 1 >/dev/null
-    target/release/verify_lint --jobs 1 >/dev/null
-    target/release/bench_gate --baseline "$tmp/bench-baseline.json"
-    echo "ok: perf section green (byte gates, fig4 digest, wall-time budget)"
-fi
 
 echo "ok: formatting clean, no lints, deterministic at any --jobs, fault-tolerant runner, lint coverage at floor"
