@@ -30,13 +30,11 @@ fn measure(
         workers,
         cores: 4,
     };
-    let r = run_closed_loop_cached(
-        &server,
-        costs,
+    let r = cache.get_or_run(
+        &PlatformCosts::derive(&server, costs),
         CONNECTIONS,
         Nanos::from_millis(DURATION_MS),
         SEED,
-        cache,
     );
     (r.throughput_rps, r.latency.mean() / 1_000.0)
 }

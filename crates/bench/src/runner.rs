@@ -13,19 +13,22 @@
 //!
 //! 1. **Cell purity** — cells share nothing mutable; each owns its world,
 //!    RNG, and statistics.
-//! 2. **Substream seeding** — a sharded experiment gives shard `i` the
-//!    generator [`Rng::substream`]`(seed, i)`, a function of the shard
-//!    index alone, never of the executing worker or claim order.
+//! 2. **Substream seeding** — a cell that draws random numbers seeds its
+//!    generator with [`Rng::substream`]`(seed, i)` for its own index `i`
+//!    (cell, host or worker), never for the executing thread or claim
+//!    order.
 //! 3. **Index-ordered merge** — workers record `(index, result)` pairs;
 //!    the merge sorts by index before any fold, so order-sensitive
 //!    reducers ([`Histogram::merge`], [`Summary::merge`], report
 //!    rendering) see the serial order.
+//!
+//! [`Rng::substream`]: xcontainers::prelude::Rng::substream
+//! [`Histogram::merge`]: xcontainers::prelude::Histogram::merge
+//! [`Summary::merge`]: xcontainers::prelude::Summary::merge
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-use xcontainers::prelude::{shard_share, Histogram, Rng, Summary};
 
 /// Environment variable consulted for the worker count when no `--jobs`
 /// flag is present. Parsed as strictly as the flag: a malformed or zero
@@ -325,72 +328,12 @@ impl Runner {
         }
         CtlReport { report, unrun }
     }
-
-    /// Runs a sharded experiment: shard `i` of `shards` receives its own
-    /// substream generator `Rng::substream(seed, i)` and the results come
-    /// back in shard order. The output is a function of `(shards, seed)`
-    /// only — never of the worker count.
-    pub fn run_sharded<T, F>(&self, shards: usize, seed: u64, shard: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Rng) -> T + Sync,
-    {
-        self.run(shards, |i| shard(i, Rng::substream(seed, i as u64)))
-    }
-
-    /// Draws `total` samples of `sample` split across `shards` substreams
-    /// and folds the per-shard histograms in shard order with one
-    /// [`Histogram::merge_many`] pass (integer buckets are
-    /// order-independent, so the one-pass reduce is byte-identical to the
-    /// old sequential merges).
-    pub fn sharded_histogram<F>(&self, shards: usize, total: u64, seed: u64, sample: F) -> Histogram
-    where
-        F: Fn(&mut Rng) -> u64 + Sync,
-    {
-        let parts = self.run_sharded(shards.max(1), seed, |i, mut rng| {
-            let mut h = Histogram::new();
-            for _ in 0..shard_len(total, shards.max(1), i) {
-                h.record(sample(&mut rng));
-            }
-            h
-        });
-        let mut merged = Histogram::new();
-        merged.merge_many(&parts.iter().collect::<Vec<_>>());
-        merged
-    }
-
-    /// Draws `total` samples of `sample` split across `shards` substreams
-    /// and merges the per-shard summaries in shard order with
-    /// [`Summary::merge_many`] (a sequential fold — Welford combination is
-    /// order-sensitive, so summaries never tree-reduce).
-    pub fn sharded_summary<F>(&self, shards: usize, total: u64, seed: u64, sample: F) -> Summary
-    where
-        F: Fn(&mut Rng) -> f64 + Sync,
-    {
-        let parts = self.run_sharded(shards.max(1), seed, |i, mut rng| {
-            let mut s = Summary::new();
-            for _ in 0..shard_len(total, shards.max(1), i) {
-                s.record(sample(&mut rng));
-            }
-            s
-        });
-        let mut merged = Summary::new();
-        merged.merge_many(&parts.iter().collect::<Vec<_>>());
-        merged
-    }
 }
 
 impl Default for Runner {
     fn default() -> Self {
         Runner::from_args()
     }
-}
-
-/// Samples shard `i` draws when `total` samples split over `shards`
-/// shards — [`shard_share`], so the runner, the per-worker closed loop
-/// and the cluster study all cut ranges with the same arithmetic.
-fn shard_len(total: u64, shards: usize, i: usize) -> u64 {
-    shard_share(total, shards as u64, i as u64)
 }
 
 /// Runs one cell under `policy`: up to `max_attempts` tries with
@@ -522,47 +465,6 @@ mod tests {
         assert_eq!(Runner::new(4).run(1, |i| i + 10), vec![10]);
         // More workers than cells.
         assert_eq!(Runner::new(64).run(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn run_sharded_is_jobs_invariant() {
-        let draw = |_i: usize, mut rng: Rng| (0..100).map(|_| rng.next_u64()).collect::<Vec<_>>();
-        let serial = Runner::new(1).run_sharded(8, 2019, draw);
-        let parallel = Runner::new(4).run_sharded(8, 2019, draw);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn sharded_histogram_is_jobs_invariant() {
-        let sample = |rng: &mut Rng| rng.next_below(10_000);
-        let a = Runner::new(1).sharded_histogram(8, 10_000, 7, sample);
-        let b = Runner::new(4).sharded_histogram(8, 10_000, 7, sample);
-        assert_eq!(a.count(), 10_000);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), b.quantile(q));
-        }
-    }
-
-    #[test]
-    fn sharded_summary_is_jobs_invariant() {
-        let sample = |rng: &mut Rng| rng.next_f64();
-        let a = Runner::new(1).sharded_summary(5, 1_000, 42, sample);
-        let b = Runner::new(8).sharded_summary(5, 1_000, 42, sample);
-        assert_eq!(a.count(), 1_000);
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.stddev(), b.stddev());
-    }
-
-    #[test]
-    fn shard_len_splits_exactly() {
-        for total in [0u64, 1, 7, 100] {
-            for shards in [1usize, 3, 8] {
-                let sum: u64 = (0..shards).map(|i| shard_len(total, shards, i)).sum();
-                assert_eq!(sum, total);
-            }
-        }
     }
 
     #[test]

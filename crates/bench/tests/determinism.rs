@@ -10,7 +10,7 @@ use xc_bench::harness::{
     ablations, chaos, cluster, fig3, fig4, fig5, fig8, verify_lint, verify_study,
 };
 use xc_bench::runner::{RunPolicy, Runner};
-use xcontainers::prelude::{ClosedLoopCache, FaultPlan, FaultRates, Histogram, Rng, Summary};
+use xcontainers::prelude::{ClosedLoopCache, FaultPlan, FaultRates, Rng};
 
 /// Byte-compares one harness's full output across worker counts.
 fn assert_jobs_invariant(run: impl Fn(&Runner) -> (String, String)) {
@@ -22,7 +22,7 @@ fn assert_jobs_invariant(run: impl Fn(&Runner) -> (String, String)) {
     }
 }
 
-/// The closed-loop macrobenchmark grid — per-worker shard worlds, one
+/// The closed-loop macrobenchmark grid — per-worker recursions, one
 /// shared memoization cache racing across cells — must still render
 /// byte-identically at every worker count: results are a function of
 /// the derived cost table alone, never of cache scheduling.
@@ -197,25 +197,5 @@ fn panicking_cell_is_isolated_from_the_grid() {
             vec![Some(0), Some(10), Some(20), None, Some(40), Some(50)],
             "surviving cells diverged at --jobs {jobs}"
         );
-    }
-}
-
-/// Sharded statistics merge to the same result at every worker count.
-#[test]
-fn sharded_stats_are_jobs_invariant() {
-    let sample_h = |rng: &mut Rng| rng.next_below(1_000_000);
-    let sample_s = |rng: &mut Rng| rng.next_f64() * 500.0;
-    let h1: Histogram = Runner::new(1).sharded_histogram(8, 10_000, 42, sample_h);
-    let s1: Summary = Runner::new(1).sharded_summary(8, 10_000, 42, sample_s);
-    for jobs in [2, 4] {
-        assert_eq!(
-            Runner::new(jobs).sharded_histogram(8, 10_000, 42, sample_h),
-            h1
-        );
-        let s = Runner::new(jobs).sharded_summary(8, 10_000, 42, sample_s);
-        assert_eq!(s.count(), s1.count());
-        assert_eq!(s.sum().to_bits(), s1.sum().to_bits());
-        assert_eq!(s.min().to_bits(), s1.min().to_bits());
-        assert_eq!(s.max().to_bits(), s1.max().to_bits());
     }
 }

@@ -638,8 +638,8 @@ pub fn arena_counters() -> (u64, u64) {
 /// [`EventChannels::reset`] and [`GrantTable::reset`] restore the exact
 /// logical state of fresh subsystems (port numbering and grant
 /// generations restart from zero), so arena-backed runs are
-/// byte-identical to freshly-allocated ones — a feature-gated proptest
-/// pins that equivalence.
+/// byte-identical to freshly-allocated ones — a proptest pins that
+/// equivalence.
 #[derive(Default)]
 pub struct ChaosArena {
     ev: EventChannels,

@@ -1,5 +1,4 @@
-//! Property-based tests for the chaos world's arena recycling (enable
-//! with `--features proptest`).
+//! Property-based tests for the chaos world's arena recycling.
 //!
 //! The unit suite pins recycling at one fixed configuration; the
 //! property here quantifies over plans and shapes: a [`ChaosArena`]

@@ -142,19 +142,6 @@ impl Summary {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Folds `others` into `self` in slice order.
-    ///
-    /// Welford combination is a float computation, so unlike
-    /// [`Histogram::merge_many`] the order matters for bit-identity: this
-    /// is defined as the exact sequential left fold the callers previously
-    /// spelled out, kept as a method so sharded reducers have one entry
-    /// point for both statistic kinds.
-    pub fn merge_many(&mut self, others: &[&Summary]) {
-        for other in others {
-            self.merge(other);
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -508,8 +495,7 @@ pub struct HistogramCheckpoint {
 /// equal partitions: the remainder goes to the lowest-indexed shards, so
 /// the split is a pure function of `(total, shards)` — the contract
 /// every deterministic sharded merge in the workspace relies on (the
-/// parallel bench runner, the per-worker closed loop, the cluster
-/// study's client partition).
+/// per-worker closed loop, the cluster study's client partition).
 ///
 /// # Panics
 ///
@@ -590,17 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_many_is_sequential_fold() {
-        let parts: Vec<Summary> = (0..5)
-            .map(|i| (i * 50..(i + 1) * 50).map(f64::from).collect())
-            .collect();
-        let mut seq = Summary::new();
-        for p in &parts {
-            seq.merge(p);
+    fn shard_share_splits_exactly() {
+        for total in [0u64, 1, 7, 100] {
+            for shards in [1u64, 3, 8] {
+                let sum: u64 = (0..shards).map(|i| shard_share(total, shards, i)).sum();
+                assert_eq!(sum, total);
+            }
         }
-        let mut many = Summary::new();
-        many.merge_many(&parts.iter().collect::<Vec<_>>());
-        assert_eq!(seq, many);
     }
 
     #[test]

@@ -449,7 +449,6 @@ mod tests {
         assert_matches_reference(&a.finish().unwrap());
     }
 
-    #[cfg(feature = "proptest")]
     mod props {
         use super::*;
         use proptest::prelude::*;

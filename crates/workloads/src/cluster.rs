@@ -306,19 +306,6 @@ impl World for HostWorld<'_> {
     }
 }
 
-/// One host's contribution to a cluster run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HostResult {
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Requests dropped at a full domain queue.
-    pub dropped: u64,
-    /// Completed-request latency distribution (nanoseconds).
-    pub latency: Histogram,
-    /// Core-nanoseconds of service consumed.
-    pub busy_ns: u64,
-}
-
 /// Merged results of a host range (or the whole cluster).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterResult {
@@ -335,18 +322,8 @@ pub struct ClusterResult {
 }
 
 impl ClusterResult {
-    /// Folds `host` in. Callers must merge in host-index order — the
-    /// histogram merge is exact, so order only matters for keeping the
-    /// float throughput sums bit-identical across run arrangements.
-    pub fn absorb(&mut self, host: &HostResult) {
-        self.hosts += 1;
-        self.completed += host.completed;
-        self.dropped += host.dropped;
-        self.latency.merge(&host.latency);
-        self.busy_ns += host.busy_ns;
-    }
-
-    /// Folds another merged range in (same ordering contract).
+    /// Folds another merged range in. Callers merge in host-index
+    /// order, so a result never depends on how the range was split.
     pub fn merge(&mut self, other: &ClusterResult) {
         self.hosts += other.hosts;
         self.completed += other.completed;
@@ -441,11 +418,10 @@ pub fn arena_counters() -> (u64, u64) {
 /// instead of letting each host reallocate it. The resets restore the
 /// exact logical state of fresh storage ([`EventQueue::reset`] rewinds
 /// even the adaptive bucket width and the lane), so arena-backed runs
-/// are byte-identical to freshly-allocated ones — a feature-gated
-/// proptest pins that equivalence. The arena also caches the
-/// [`ZipfTable`] of the last `(domains, theta)` it served, which every
-/// host of a grid shares; it is built on first use, inside the first
-/// cell that needs it.
+/// are byte-identical to freshly-allocated ones — a proptest pins that
+/// equivalence. The arena also caches the [`ZipfTable`] of the last
+/// `(domains, theta)` it served, which every host of a grid shares; it
+/// is built on first use, inside the first cell that needs it.
 #[derive(Default)]
 pub struct WorldArena {
     fifos: DomainFifos,
@@ -504,19 +480,6 @@ thread_local! {
     /// thread a stream of grid cells, and every cell on that thread
     /// reuses the same world storage.
     static ARENA: RefCell<WorldArena> = RefCell::new(WorldArena::new());
-}
-
-/// Simulates one host of the cluster. Pure function of
-/// `(table, params, host_index)` — the unit every driver composes from.
-pub fn simulate_host(table: &PlatformCosts, params: &ClusterParams, host: u32) -> HostResult {
-    let mut arena = WorldArena::new();
-    let r = run_cluster_range_in(&mut arena, table, params, host, 1);
-    HostResult {
-        completed: r.completed,
-        dropped: r.dropped,
-        latency: r.latency,
-        busy_ns: r.busy_ns,
-    }
 }
 
 /// Simulates the contiguous host range `[first, first + count)` into a
@@ -750,8 +713,8 @@ mod tests {
         // Substream seeding: hosts are distinct worlds, none degenerate.
         let t = table(Platform::docker(CloudEnv::LocalCluster, true));
         let p = params();
-        let h0 = simulate_host(&t, &p, 0);
-        let h1 = simulate_host(&t, &p, 1);
+        let h0 = run_cluster_range(&t, &p, 0, 1);
+        let h1 = run_cluster_range(&t, &p, 1, 1);
         assert!(h0.completed > 0 && h1.completed > 0);
         assert_ne!(
             h0.latency, h1.latency,

@@ -17,14 +17,10 @@
 //! each worker process owns its accept queue (`SO_REUSEPORT`-style), so
 //! worker `w` of `P` serves a fixed
 //! [`shard_share`](xc_sim::stats::shard_share) of the connections with
-//! its own RNG substream, independent of every other worker. That makes
-//! the whole simulation embarrassingly parallel: the serial path runs
-//! the workers one after another and merges their histograms in
-//! worker order; [`run_closed_loop_sharded`] runs contiguous worker
-//! ranges on OS threads and merges in the same order, so its output is
-//! byte-identical to the serial reference at any shard count.
+//! its own RNG substream, independent of every other worker. The workers
+//! run one after another and their histograms merge in worker order;
+//! parallelism lives one level up, in the harness's cell runner.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -139,63 +135,18 @@ const UNIFORM_SLAB: usize = 64;
 /// without changing the mean.
 const JITTER: f64 = 0.15;
 
-/// Worker runs served from freshly allocated arena storage.
-static ARENA_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Worker runs served from recycled arena storage.
-static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative `(allocated, reused)` closed-loop arena counters across
-/// every thread's arena, for the bench ledger: a figure grid should
-/// report almost all reuses — one allocation per worker thread, not one
-/// per simulated worker.
+/// Always `(0, 0)`: each [`run_closed_loop_from`] call allocates its
+/// own ring, so nothing is recycled. Kept only because perfbench's
+/// `http.arena_reuse_frac` reads it; both go at the next benchmark
+/// change.
 pub fn arena_counters() -> (u64, u64) {
-    (
-        ARENA_ALLOCS.load(Ordering::Relaxed),
-        ARENA_REUSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Reusable backing storage for closed-loop worker runs: the ring of
-/// pending arrivals. Every run starts from a cleared ring, so
-/// arena-backed runs are byte-identical to freshly-allocated ones — a
-/// feature-gated proptest pins that equivalence.
-#[derive(Default)]
-pub struct LoopArena {
-    pending: VecDeque<Nanos>,
-    used: bool,
-}
-
-impl LoopArena {
-    /// Creates an empty arena; storage is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears the ring and bumps the global alloc/reuse counters.
-    fn prepare(&mut self) -> &mut VecDeque<Nanos> {
-        if self.used {
-            ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ARENA_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            self.used = true;
-        }
-        self.pending.clear();
-        &mut self.pending
-    }
-}
-
-thread_local! {
-    /// One arena per thread: serial figure grids recycle one ring across
-    /// every cell, and each shard thread of [`run_closed_loop_sharded`]
-    /// recycles across its worker range.
-    static ARENA: RefCell<LoopArena> = RefCell::new(LoopArena::new());
+    (0, 0)
 }
 
 /// Runs one worker: the contiguous global-connection range
 /// `[first, first + count)` of `total` connections, seeded from worker
-/// `index`'s RNG substream, drawing storage from `arena`. Pure function
-/// of its non-arena arguments — the unit both the serial and the
-/// sharded drivers compose from.
+/// `index`'s RNG substream, over the ring `pending` (cleared first).
+/// Pure function of its other arguments.
 ///
 /// The worker is one FIFO server and every client waits a constant RTT
 /// after its reply, so requests return to the server in the order they
@@ -205,8 +156,8 @@ thread_local! {
 /// (DESIGN.md §4m). `S_k` is the k-th draw of the worker's stream. A
 /// request counts iff `finish_k <= duration`: the deadline is inclusive.
 #[allow(clippy::too_many_arguments)]
-fn run_worker_in(
-    arena: &mut LoopArena,
+fn run_worker(
+    pending: &mut VecDeque<Nanos>,
     table: &PlatformCosts,
     index: u32,
     first: u64,
@@ -215,10 +166,10 @@ fn run_worker_in(
     duration: Nanos,
     seed: u64,
 ) -> (u64, Histogram) {
-    let pending = arena.prepare();
+    pending.clear();
     for g in first..first + count {
         // Stagger initial arrivals across one RTT by *global* connection
-        // index, matching the unsharded schedule shape.
+        // index.
         pending.push_back(table.rtt * g / total.max(1));
     }
     let mut rng = Rng::substream(seed, u64::from(index));
@@ -252,35 +203,11 @@ fn run_worker_in(
     (completed, latency)
 }
 
-/// [`run_worker_in`] on the calling thread's recycled arena.
-fn run_worker(
-    table: &PlatformCosts,
-    index: u32,
-    first: u64,
-    count: u64,
-    total: u64,
-    duration: Nanos,
-    seed: u64,
-) -> (u64, Histogram) {
-    ARENA.with(|arena| {
-        run_worker_in(
-            &mut arena.borrow_mut(),
-            table,
-            index,
-            first,
-            count,
-            total,
-            duration,
-            seed,
-        )
-    })
-}
-
-/// [`run_closed_loop_from`] drawing every worker's storage from
-/// `arena` — the seam the recycled-vs-fresh equivalence proptest
-/// drives. Byte-identical to a run over a fresh arena.
-pub fn run_closed_loop_from_in(
-    arena: &mut LoopArena,
+/// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
+/// table: `connections` concurrent clients, for `duration` of simulated
+/// time. Workers run one after another over one ring of pending
+/// arrivals, results merged in worker-index order.
+pub fn run_closed_loop_from(
     table: &PlatformCosts,
     connections: u32,
     duration: Nanos,
@@ -288,12 +215,13 @@ pub fn run_closed_loop_from_in(
 ) -> ClosedLoopResult {
     let workers = table.parallelism.max(1);
     let total = u64::from(connections);
+    let mut pending = VecDeque::with_capacity(connections as usize);
     let mut completed = 0u64;
     let mut latency = Histogram::new();
     let mut first = 0u64;
     for w in 0..workers {
         let count = shard_share(total, u64::from(workers), u64::from(w));
-        let (done, hist) = run_worker_in(arena, table, w, first, count, total, duration, seed);
+        let (done, hist) = run_worker(&mut pending, table, w, first, count, total, duration, seed);
         completed += done;
         latency.merge(&hist);
         first += count;
@@ -302,22 +230,6 @@ pub fn run_closed_loop_from_in(
         throughput_rps: completed as f64 / duration.as_secs_f64(),
         latency,
     }
-}
-
-/// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
-/// table: `connections` concurrent clients, for `duration` of simulated
-/// time. This is the serial golden reference — workers run one
-/// after another on the calling thread's recycled arena, results merged
-/// in worker-index order.
-pub fn run_closed_loop_from(
-    table: &PlatformCosts,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-) -> ClosedLoopResult {
-    ARENA.with(|arena| {
-        run_closed_loop_from_in(&mut arena.borrow_mut(), table, connections, duration, seed)
-    })
 }
 
 /// Runs a closed-loop benchmark: `connections` concurrent clients against
@@ -331,64 +243,6 @@ pub fn run_closed_loop(
 ) -> ClosedLoopResult {
     let table = PlatformCosts::derive(server, costs);
     run_closed_loop_from(&table, connections, duration, seed)
-}
-
-/// [`run_closed_loop_from`] with workers distributed over `shards`
-/// OS threads. Workers are split into contiguous index ranges (the same
-/// [`shard_share`] partition the runner uses for cells) and each
-/// thread's partial results are merged back in worker-index order, so
-/// the output is **byte-identical** to the serial reference at any
-/// shard count — `shards` only changes wall-clock time.
-pub fn run_closed_loop_sharded(
-    table: &PlatformCosts,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-    shards: u32,
-) -> ClosedLoopResult {
-    let workers = table.parallelism.max(1);
-    let shards = shards.clamp(1, workers);
-    if shards == 1 {
-        return run_closed_loop_from(table, connections, duration, seed);
-    }
-    let total = u64::from(connections);
-    // Per-worker descriptors in worker order: (index, first, count).
-    let mut plan = Vec::with_capacity(workers as usize);
-    let mut first = 0u64;
-    for w in 0..workers {
-        let count = shard_share(total, u64::from(workers), u64::from(w));
-        plan.push((w, first, count));
-        first += count;
-    }
-    let mut partials: Vec<Vec<(u64, Histogram)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards as usize);
-        let mut start = 0usize;
-        for s in 0..shards {
-            let len = shard_share(u64::from(workers), u64::from(shards), u64::from(s)) as usize;
-            let slice = &plan[start..start + len];
-            start += len;
-            handles.push(scope.spawn(move || {
-                slice
-                    .iter()
-                    .map(|&(w, first, count)| {
-                        run_worker(table, w, first, count, total, duration, seed)
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        partials = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    });
-    let mut completed = 0u64;
-    let mut latency = Histogram::new();
-    for (done, hist) in partials.iter().flatten() {
-        completed += done;
-        latency.merge(hist);
-    }
-    ClosedLoopResult {
-        throughput_rps: completed as f64 / duration.as_secs_f64(),
-        latency,
-    }
 }
 
 /// Memoizes closed-loop results by the simulation's *true* inputs.
@@ -457,22 +311,6 @@ impl ClosedLoopCache {
             .or_insert_with(|| result.clone());
         result
     }
-}
-
-/// [`run_closed_loop`] behind a [`ClosedLoopCache`]: deployments whose
-/// derived [`PlatformCosts`] tables coincide share one run. Results are
-/// identical to the uncached path — the cache key is exactly the input
-/// of the (deterministic) simulation.
-pub fn run_closed_loop_cached(
-    server: &ServerModel,
-    costs: &CostModel,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-    cache: &ClosedLoopCache,
-) -> ClosedLoopResult {
-    let table = PlatformCosts::derive(server, costs);
-    cache.get_or_run(&table, connections, duration, seed)
 }
 
 #[cfg(test)]
@@ -573,37 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_serial_reference_exactly() {
-        let costs = CostModel::skylake_cloud();
-        let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 4);
-        let table = PlatformCosts::derive(&s, &costs);
-        let serial = run_closed_loop_from(&table, 50, Nanos::from_millis(100), 7);
-        for shards in [1, 2, 3, 4, 9] {
-            let sharded = run_closed_loop_sharded(&table, 50, Nanos::from_millis(100), 7, shards);
-            assert_eq!(
-                serial.throughput_rps.to_bits(),
-                sharded.throughput_rps.to_bits(),
-                "{shards} shards"
-            );
-            assert_eq!(serial.latency, sharded.latency, "{shards} shards");
-        }
-    }
-
-    #[test]
     fn cache_returns_identical_results_and_counts() {
         let costs = CostModel::skylake_cloud();
         let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 2);
+        let table = PlatformCosts::derive(&s, &costs);
         let cache = ClosedLoopCache::new();
         let uncached = run_closed_loop(&s, &costs, 16, Nanos::from_millis(100), 7);
-        let a = run_closed_loop_cached(&s, &costs, 16, Nanos::from_millis(100), 7, &cache);
-        let b = run_closed_loop_cached(&s, &costs, 16, Nanos::from_millis(100), 7, &cache);
+        let a = cache.get_or_run(&table, 16, Nanos::from_millis(100), 7);
+        let b = cache.get_or_run(&table, 16, Nanos::from_millis(100), 7);
         assert_eq!(a.throughput_rps, uncached.throughput_rps);
         assert_eq!(a.latency, uncached.latency);
         assert_eq!(b.throughput_rps, a.throughput_rps);
         assert_eq!(b.latency, a.latency);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // A different seed is a different simulation.
-        let _ = run_closed_loop_cached(&s, &costs, 16, Nanos::from_millis(100), 8, &cache);
+        let _ = cache.get_or_run(&table, 16, Nanos::from_millis(100), 8);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
@@ -616,8 +438,18 @@ mod tests {
         let patched = server(Platform::x_container(CloudEnv::AmazonEc2, true), 2);
         let unpatched = server(Platform::x_container(CloudEnv::AmazonEc2, false), 2);
         let cache = ClosedLoopCache::new();
-        let a = run_closed_loop_cached(&patched, &costs, 8, Nanos::from_millis(50), 3, &cache);
-        let b = run_closed_loop_cached(&unpatched, &costs, 8, Nanos::from_millis(50), 3, &cache);
+        let a = cache.get_or_run(
+            &PlatformCosts::derive(&patched, &costs),
+            8,
+            Nanos::from_millis(50),
+            3,
+        );
+        let b = cache.get_or_run(
+            &PlatformCosts::derive(&unpatched, &costs),
+            8,
+            Nanos::from_millis(50),
+            3,
+        );
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(a.throughput_rps, b.throughput_rps);
     }

@@ -11,7 +11,7 @@
 //! * [`http`] — the closed-loop request/response engine behind `ab`,
 //!   `wrk` and `memtier_benchmark`, decomposed into per-worker FIFO
 //!   servers, each run as an exact Lindley recursion
-//!   ([`http::run_closed_loop_sharded`]),
+//!   ([`http::run_closed_loop_from`]),
 //! * [`costs`] — the precomputed [`PlatformCosts`] table every
 //!   request/response simulation reads instead of re-deriving platform
 //!   costs per event,
@@ -59,4 +59,4 @@ pub mod table1;
 pub mod unixbench;
 
 pub use costs::PlatformCosts;
-pub use http::{ClosedLoopResult, LoopArena, RequestProfile, ServerModel};
+pub use http::{ClosedLoopResult, RequestProfile, ServerModel};

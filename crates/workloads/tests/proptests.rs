@@ -1,12 +1,11 @@
-//! Property-based tests for the sharded closed loop and the derived
-//! cost table (enable with `--features proptest`).
+//! Property-based tests for the closed loop, the derived cost table and
+//! the cluster world's arena.
 //!
-//! The always-on unit suites pin these properties at fixed points; the
-//! properties here quantify over the interesting inputs: *any* shard
-//! count must reproduce the serial reference bit-for-bit, *any*
-//! deployment in the evaluation matrix must derive the same costs
-//! through [`PlatformCosts`] as through the per-event path, and *any*
-//! cost table must run the same through the closed loop's recursion as
+//! The unit suites pin these properties at fixed points; the properties
+//! here quantify over the interesting inputs: *any* deployment in the
+//! evaluation matrix must derive the same costs through
+//! [`PlatformCosts`] as through the per-event path, and *any* cost
+//! table must run the same through the closed loop's recursion as
 //! through the event-driven [`oracle`].
 
 mod oracle;
@@ -19,9 +18,7 @@ use xc_sim::time::Nanos;
 use xc_workloads::apps;
 use xc_workloads::cluster::{run_cluster_range_in, ClusterParams, WorldArena};
 use xc_workloads::costs::PlatformCosts;
-use xc_workloads::http::{
-    run_closed_loop_from, run_closed_loop_from_in, run_closed_loop_sharded, LoopArena, ServerModel,
-};
+use xc_workloads::http::{run_closed_loop_from, ServerModel};
 
 fn arb_cloud() -> impl Strategy<Value = CloudEnv> {
     prop_oneof![
@@ -52,34 +49,6 @@ fn arb_profile() -> impl Strategy<Value = xc_workloads::http::RequestProfile> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Sharding is pure plumbing: any shard count (including counts
-    /// above the worker count, which clamp) reproduces the serial
-    /// worker-index-order merge bit-for-bit — throughput to the last
-    /// mantissa bit, latency histogram bucket-for-bucket.
-    #[test]
-    fn sharded_closed_loop_matches_serial(
-        platform in arb_platform(),
-        profile in arb_profile(),
-        connections in 1u32..48,
-        workers in 1u32..5,
-        duration_ms in 5u64..40,
-        seed in any::<u64>(),
-        shards in 1u32..13,
-    ) {
-        let costs = CostModel::skylake_cloud();
-        let server = ServerModel { platform, profile, workers, cores: 4 };
-        let table = PlatformCosts::derive(&server, &costs);
-        let duration = Nanos::from_millis(duration_ms);
-        let serial = run_closed_loop_from(&table, connections, duration, seed);
-        let sharded = run_closed_loop_sharded(&table, connections, duration, seed, shards);
-        prop_assert_eq!(
-            serial.throughput_rps.to_bits(),
-            sharded.throughput_rps.to_bits(),
-            "throughput diverged at {} shards", shards
-        );
-        prop_assert_eq!(serial.latency, sharded.latency, "histogram diverged at {} shards", shards);
-    }
 
     /// The precomputed table is exactly the per-event derivation for
     /// every deployment: same service time, same wire RTT, same
@@ -138,34 +107,6 @@ proptest! {
                 got.throughput_rps.to_bits(),
                 (want.completed as f64 / duration.as_secs_f64()).to_bits()
             );
-        }
-    }
-
-    /// Closed-loop arena recycling is observationally invisible: a
-    /// [`LoopArena`] reused across a random sequence of closed-loop
-    /// runs reproduces each run's throughput to the last mantissa bit
-    /// and its latency histogram bucket-for-bucket, exactly as a fresh
-    /// arena per run would — the contract behind the thread-local
-    /// arenas inside `run_closed_loop_from` and the sharded workers.
-    #[test]
-    fn loop_arena_reuse_matches_fresh_worlds(
-        runs in proptest::collection::vec(
-            (arb_platform(), arb_profile(), 1u32..40, 2u64..25, any::<u64>()),
-            1..5,
-        ),
-    ) {
-        let costs = CostModel::skylake_cloud();
-        let mut recycled = LoopArena::new();
-        for (platform, profile, connections, duration_ms, seed) in runs {
-            let server = ServerModel { platform, profile, workers: 2, cores: 4 };
-            let table = PlatformCosts::derive(&server, &costs);
-            let duration = Nanos::from_millis(duration_ms);
-            let reused =
-                run_closed_loop_from_in(&mut recycled, &table, connections, duration, seed);
-            let fresh =
-                run_closed_loop_from_in(&mut LoopArena::new(), &table, connections, duration, seed);
-            prop_assert_eq!(reused.throughput_rps.to_bits(), fresh.throughput_rps.to_bits());
-            prop_assert_eq!(reused.latency, fresh.latency);
         }
     }
 

