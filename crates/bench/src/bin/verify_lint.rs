@@ -9,8 +9,7 @@
 //! - `--quick`: gates only (digest, coverage floor, Unknown ceiling) —
 //!   no results written, exit 1 on any failure (`check.sh` runs this);
 //! - `--json`: print the machine-readable sweep instead of the table;
-//! - `--write-golden`: refresh the committed digest at [`GOLDEN_PATH`]
-//!   (run from the repository root).
+//! - `--write-golden`: refresh the committed digest at [`GOLDEN_PATH`].
 //!
 //! The digest gate hashes the serial sweep's full output (rendered
 //! text, machine JSON, findings JSON): any verifier change that moves a
@@ -24,9 +23,9 @@ use xc_bench::journal::fnv;
 use xc_bench::record;
 use xc_bench::runner::Runner;
 
-/// Committed golden digest of the serial sweep output, relative to the
-/// repository root.
-const GOLDEN_PATH: &str = "crates/bench/golden/verify_lint.digest";
+/// Committed golden digest of the serial sweep output. Anchored at the
+/// crate's source directory, so the gate runs from any working directory.
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/verify_lint.digest");
 
 fn main() {
     let mut quick = false;

@@ -187,8 +187,8 @@ fn intern_experiment(name: &str) -> Option<&'static str> {
 }
 
 /// Exact checkpoint codec for one measurement group's findings. The
-/// serialized form is [`Finding::to_json`] (what `results/*.json`
-/// holds); decode interns the experiment id against [`EXPERIMENTS`] and
+/// serialized form is `Finding::to_json` (what `results/*.json`
+/// holds); decode interns the experiment id against `EXPERIMENTS` and
 /// rejects records naming unknown experiments.
 impl CellPayload for Vec<Finding> {
     fn to_payload(&self) -> Json {

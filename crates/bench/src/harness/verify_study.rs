@@ -384,11 +384,6 @@ pub struct WorklistProfile {
     pub merges: u64,
     /// Merges that moved the lattice and re-queued a block.
     pub merges_changed: u64,
-    /// `AbsState`s physically copied; `cloned + shared` is what the
-    /// pre-copy-on-write driver cloned.
-    pub states_cloned: u64,
-    /// `AbsState`s adopted by arena id instead of cloned.
-    pub states_shared: u64,
     /// Fixpoint-phase wall time — nondeterministic.
     pub fixpoint_micros: f64,
     /// Materialisation-phase wall time — nondeterministic.
@@ -418,8 +413,6 @@ pub fn worklist_profiles(runner: &Runner) -> Vec<WorklistProfile> {
             pops: prof.pops,
             merges: prof.merges,
             merges_changed: prof.merges_changed,
-            states_cloned: prof.states_cloned,
-            states_shared: prof.states_shared,
             fixpoint_micros: prof.fixpoint_nanos as f64 / 1e3,
             materialize_micros: prof.materialize_nanos as f64 / 1e3,
         }
@@ -436,8 +429,6 @@ pub fn render_worklist_profiles(rows: &[WorklistProfile]) -> String {
             "pops",
             "merges",
             "changed",
-            "cloned",
-            "shared",
             "fixpoint µs",
             "materialize µs",
         ],
@@ -449,8 +440,6 @@ pub fn render_worklist_profiles(rows: &[WorklistProfile]) -> String {
             Cell::Num(r.pops as f64, 0),
             Cell::Num(r.merges as f64, 0),
             Cell::Num(r.merges_changed as f64, 0),
-            Cell::Num(r.states_cloned as f64, 0),
-            Cell::Num(r.states_shared as f64, 0),
             Cell::Num(r.fixpoint_micros, 1),
             Cell::Num(r.materialize_micros, 1),
         ]);

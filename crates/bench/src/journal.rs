@@ -482,9 +482,8 @@ impl Interrupt {
         }
     }
 
-    /// Adds a run-level wall-clock deadline (graceful, unlike the
-    /// per-cell [`RunPolicy::hard_deadline`]: the grid stops claiming
-    /// and checkpoints what finished).
+    /// Adds a run-level wall-clock deadline: the grid stops claiming
+    /// and checkpoints what finished.
     pub fn with_max_wall(mut self, limit: Duration) -> Self {
         self.max_wall = Some(limit);
         self

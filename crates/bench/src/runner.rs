@@ -28,7 +28,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// Environment variable consulted for the worker count when no `--jobs`
 /// flag is present. Parsed as strictly as the flag: a malformed or zero
@@ -38,49 +37,27 @@ pub const JOBS_ENV: &str = "XC_JOBS";
 /// How [`Runner::try_run`] treats a failing cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
-    /// Times a panicking (or hard-deadline-busting) cell is attempted
-    /// before it is reported as failed (≥ 1; cells are pure, so retries
-    /// mainly catch harness bugs that depend on ambient state, e.g.
-    /// filesystem races).
+    /// Times a panicking cell is attempted before it is reported as
+    /// failed (≥ 1; cells are pure, so retries mainly catch harness bugs
+    /// that depend on ambient state, e.g. filesystem races).
     pub max_attempts: u32,
-    /// Wall-clock budget per cell. Exceeding it cannot abort the cell —
-    /// cells are ordinary closures — but it is flagged on stderr so a
-    /// wedged grid is diagnosable. Never affects results.
-    pub soft_deadline: Option<Duration>,
-    /// Per-cell hard timeout. A cell whose attempt runs longer than
-    /// this has its result *discarded* and the attempt counted as
-    /// failed — bounded-retry escalation, with the final failure
-    /// reported as a [`CellFailure`] with `timed_out` set. Unlike the
-    /// soft deadline this can turn a slow-but-correct cell into a
-    /// failure, so it trades determinism for liveness: leave it `None`
-    /// (the default) for the byte-gated harnesses, and reserve it for
-    /// operational sweeps where a wedged cell must not hold the whole
-    /// grid's checkpoint hostage.
-    pub hard_deadline: Option<Duration>,
 }
 
 impl Default for RunPolicy {
     fn default() -> Self {
-        RunPolicy {
-            max_attempts: 2,
-            soft_deadline: None,
-            hard_deadline: None,
-        }
+        RunPolicy { max_attempts: 2 }
     }
 }
 
-/// One cell that kept panicking (or timing out) through every attempt.
+/// One cell that kept panicking through every attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's grid index.
     pub index: usize,
     /// Attempts made.
     pub attempts: u32,
-    /// The final panic's message (or the timeout description).
+    /// The final panic's message.
     pub message: String,
-    /// Whether the final attempt failed by exceeding
-    /// [`RunPolicy::hard_deadline`] rather than panicking.
-    pub timed_out: bool,
 }
 
 /// Outcome of a fault-tolerant grid run: per-cell results in index
@@ -232,8 +209,7 @@ impl Runner {
     /// under `policy`, catching per-cell panics so one bad cell cannot
     /// poison its worker's remaining claims. Results come back in index
     /// order with failures recorded per cell — identically at every
-    /// worker count (retries and deadlines are wall-clock concerns and
-    /// never alter a successful cell's value).
+    /// worker count (a retry never alters a successful cell's value).
     pub fn try_run<T, F>(&self, cells: usize, policy: RunPolicy, cell: F) -> RunReport<T>
     where
         T: Send,
@@ -337,49 +313,17 @@ impl Default for Runner {
 }
 
 /// Runs one cell under `policy`: up to `max_attempts` tries with
-/// per-attempt panic isolation, soft-deadline reporting on stderr, and
-/// hard-deadline escalation (a too-slow attempt's result is discarded
-/// and the attempt counted as failed).
+/// per-attempt panic isolation.
 fn attempt_cell<T, F>(cell: &F, index: usize, policy: RunPolicy) -> Result<T, CellFailure>
 where
     F: Fn(usize) -> T,
 {
     let attempts = policy.max_attempts.max(1);
     let mut message = String::new();
-    let mut timed_out = false;
     for attempt in 1..=attempts {
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| cell(index)));
-        let elapsed = started.elapsed();
-        if let Some(deadline) = policy.soft_deadline {
-            if elapsed > deadline {
-                eprintln!(
-                    "note: cell {index} took {:.1}s (soft deadline {:.1}s)",
-                    elapsed.as_secs_f64(),
-                    deadline.as_secs_f64()
-                );
-            }
-        }
-        match outcome {
-            Ok(v) => match policy.hard_deadline {
-                Some(hard) if elapsed > hard => {
-                    timed_out = true;
-                    message = format!(
-                        "exceeded hard deadline: ran {:.1}s (budget {:.1}s)",
-                        elapsed.as_secs_f64(),
-                        hard.as_secs_f64()
-                    );
-                    if attempt < attempts {
-                        eprintln!(
-                            "note: cell {index} {message} (attempt {attempt}/{attempts}); \
-                                 retrying"
-                        );
-                    }
-                }
-                _ => return Ok(v),
-            },
+        match catch_unwind(AssertUnwindSafe(|| cell(index))) {
+            Ok(v) => return Ok(v),
             Err(payload) => {
-                timed_out = false;
                 message = panic_message(payload.as_ref());
                 if attempt < attempts {
                     eprintln!(
@@ -393,7 +337,6 @@ where
         index,
         attempts,
         message,
-        timed_out,
     })
 }
 
@@ -582,72 +525,13 @@ mod tests {
     #[test]
     fn zero_max_attempts_clamps_to_one() {
         let runs = AtomicUsize::new(0);
-        let policy = RunPolicy {
-            max_attempts: 0,
-            ..RunPolicy::default()
-        };
+        let policy = RunPolicy { max_attempts: 0 };
         let report = Runner::new(1).try_run(1, policy, |i| {
             runs.fetch_add(1, Ordering::Relaxed);
             assert!(i != 0, "always fails");
         });
         assert_eq!(runs.load(Ordering::Relaxed), 1, "exactly one attempt");
         assert_eq!(report.failures[0].attempts, 1);
-        assert!(!report.failures[0].timed_out);
-    }
-
-    #[test]
-    fn soft_deadline_reports_but_never_fails_a_cell() {
-        let policy = RunPolicy {
-            max_attempts: 1,
-            soft_deadline: Some(Duration::from_nanos(1)),
-            hard_deadline: None,
-        };
-        let report = Runner::new(1).try_run(3, policy, |i| {
-            std::thread::sleep(Duration::from_millis(2));
-            i
-        });
-        assert!(report.ok(), "soft deadline is advisory only");
-        assert_eq!(report.results, vec![Some(0), Some(1), Some(2)]);
-    }
-
-    #[test]
-    fn hard_deadline_discards_slow_cells_and_marks_the_timeout() {
-        let policy = RunPolicy {
-            max_attempts: 2,
-            soft_deadline: None,
-            hard_deadline: Some(Duration::from_nanos(1)),
-        };
-        let attempts_made = AtomicUsize::new(0);
-        let report = Runner::new(1).try_run(1, policy, |i| {
-            attempts_made.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(2));
-            i
-        });
-        assert!(!report.ok());
-        assert_eq!(
-            attempts_made.load(Ordering::Relaxed),
-            2,
-            "the timeout consumed the retry budget"
-        );
-        let f = &report.failures[0];
-        assert!(f.timed_out, "failure records the deadline overrun");
-        assert!(f.message.contains("hard deadline"), "{}", f.message);
-        assert_eq!(report.results[0], None, "the slow result was discarded");
-    }
-
-    #[test]
-    fn generous_hard_deadline_changes_nothing() {
-        let policy = RunPolicy {
-            max_attempts: 2,
-            soft_deadline: None,
-            hard_deadline: Some(Duration::from_secs(3600)),
-        };
-        let report = Runner::new(4).try_run(10, policy, |i| i + 1);
-        assert!(report.ok());
-        assert_eq!(
-            report.into_results().expect("all pass"),
-            (1..=10).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -370,20 +370,11 @@ impl Histogram {
         self.quantile(0.5)
     }
 
-    /// Merges another histogram into this one.
-    ///
-    /// Counts saturate instead of wrapping, and the bucket loop is the
-    /// same lane-chunked pass as [`merge_many`](Self::merge_many).
+    /// Merges another histogram into this one. Counts saturate instead
+    /// of wrapping.
     pub fn merge(&mut self, other: &Histogram) {
         self.merge_many(&[other]);
     }
-
-    /// Width of the fixed lane arrays the merge loops accumulate into.
-    ///
-    /// Eight u64 lanes fill two AVX2 registers; the loops below are plain
-    /// array arithmetic over `[u64; LANES]` chunks with no per-bucket
-    /// branching, which LLVM autovectorizes.
-    const LANES: usize = 8;
 
     /// Sparse checkpoint view for crash-safe serialization: the exact
     /// raw counters — including the `u64::MAX`/`0` min/max sentinels an
@@ -433,40 +424,17 @@ impl Histogram {
         Some(h)
     }
 
-    /// Merges every histogram in `others` into `self` in one pass over the
-    /// bucket array.
+    /// Merges every histogram in `others` into `self`.
     ///
     /// Integer bucket counts are exact and order-independent, so unlike
-    /// [`Summary`] this is safe for tree reduction: folding N shards here
-    /// touches each of the 2 048 buckets once (sources inner, buckets
-    /// outer) instead of N times, and produces bytes identical to N
-    /// sequential [`merge`](Self::merge) calls in any order. All counters
-    /// saturate instead of wrapping.
+    /// [`Summary`] this is safe for tree reduction: the result is bytes
+    /// identical to sequential [`merge`](Self::merge) calls in any order.
+    /// All counters saturate instead of wrapping.
     pub fn merge_many(&mut self, others: &[&Histogram]) {
-        let n = self.counts.len();
-        let mut i = 0;
-        while i + Self::LANES <= n {
-            let mut acc = [0u64; Self::LANES];
-            acc.copy_from_slice(&self.counts[i..i + Self::LANES]);
-            for other in others {
-                debug_assert_eq!(other.counts.len(), n);
-                let src = &other.counts[i..i + Self::LANES];
-                for (a, &b) in acc.iter_mut().zip(src) {
-                    *a = a.saturating_add(b);
-                }
-            }
-            self.counts[i..i + Self::LANES].copy_from_slice(&acc);
-            i += Self::LANES;
-        }
-        while i < n {
-            let mut a = self.counts[i];
-            for other in others {
-                a = a.saturating_add(other.counts[i]);
-            }
-            self.counts[i] = a;
-            i += 1;
-        }
         for other in others {
+            for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+                *a = a.saturating_add(b);
+            }
             self.total = self.total.saturating_add(other.total);
             self.sum = self.sum.saturating_add(other.sum);
             self.max = self.max.max(other.max);

@@ -235,8 +235,8 @@ proptest! {
     /// `merge_many` over any shard partition — flat, or as a two-level
     /// tree of arbitrary fan-out, or with the shard order rotated — is
     /// byte-identical to the sequential `merge` fold: integer bucket
-    /// adds commute and associate, so the lane-chunked batch reducer
-    /// may regroup freely without moving a single quantile.
+    /// adds commute and associate, so the batch reducer may regroup
+    /// freely without moving a single quantile.
     #[test]
     fn histogram_merge_many_is_order_and_shape_free(
         values in proptest::collection::vec(0u64..1_000_000, 1..300),

@@ -142,26 +142,14 @@ impl AbsState {
         self.regs[reg.code() as usize]
     }
 
-    /// Writes `reg`, reporting whether the value actually moved — the
-    /// transfer function's dirty bit is the OR of these.
-    fn set_reg(&mut self, reg: Reg, v: AbsValue) -> bool {
-        let slot = &mut self.regs[reg.code() as usize];
-        if *slot == v {
-            false
-        } else {
-            *slot = v;
-            true
-        }
+    /// Writes `reg`.
+    fn set_reg(&mut self, reg: Reg, v: AbsValue) {
+        self.regs[reg.code() as usize] = v;
     }
 
-    /// Drops every tracked slot, reporting whether any existed.
-    fn clear_slots(&mut self) -> bool {
-        if self.slots.is_empty() {
-            false
-        } else {
-            self.slots.clear();
-            true
-        }
+    /// Drops every tracked slot.
+    fn clear_slots(&mut self) {
+        self.slots.clear();
     }
 
     /// Pointwise join. Slots join by key intersection (absent = `Top`).
@@ -193,18 +181,11 @@ impl AbsState {
     }
 }
 
-/// Result of the interprocedural pass.
-///
-/// Pre-states are interned: `states` is a dense arena and `state_in`
-/// maps instruction addresses to arena ids, so the many program points
-/// that share one abstract state (every instruction that does not move
-/// the lattice) share one allocation instead of each holding a clone.
+/// Result of the interprocedural pass: the abstract pre-state of every
+/// reachable instruction.
 #[derive(Debug, Clone, Default)]
 pub struct AbsInt {
-    /// Interned abstract states (the copy-on-write arena).
-    states: Vec<AbsState>,
-    /// Arena id of the pre-state of every reachable instruction.
-    state_in: BTreeMap<u64, u32>,
+    state_in: BTreeMap<u64, AbsState>,
 }
 
 /// A block is re-queued at most this many times before its in-state is
@@ -252,9 +233,9 @@ impl Worklist {
 }
 
 impl AbsInt {
-    /// The interned pre-state of the instruction at `at`, if reached.
+    /// The pre-state of the instruction at `at`, if reached.
     pub fn state_at(&self, at: u64) -> Option<&AbsState> {
-        self.state_in.get(&at).map(|&id| &self.states[id as usize])
+        self.state_in.get(&at)
     }
 
     /// The abstract `%rax` value just before the instruction at `at`
@@ -292,23 +273,10 @@ impl AbsInt {
         (out, probe)
     }
 
-    /// The worklist driver behind both entry points.
-    ///
-    /// Block in-states are *interned*: the arena (`AbsInt::states`)
-    /// holds the actual `AbsState`s and `block_in` maps dense block ids
-    /// (rank in ascending start-address order, binary search for the
-    /// lookup) to arena ids. The arena is copy-on-write — `owned[id]`
-    /// says whether block `id` is the sole referent of its slot. When a
-    /// popped block's transfer chain leaves the state untouched (the
-    /// per-pop dirty bit stays clear), successors receive the in-state
-    /// *by id* instead of by clone, and both sides drop ownership so a
-    /// later join interns a fresh slot rather than mutating a shared
-    /// one. Join order, widening points and the pop schedule are
-    /// exactly the old `BTreeSet<u64>`-pop-minimum behaviour; only the
-    /// clone traffic changes, which [`Probe::state_cloned`] /
-    /// [`Probe::state_shared`] account for (each share replaces what
-    /// the pre-CoW driver cloned, so `cloned + shared` is the old clone
-    /// count).
+    /// The worklist driver behind both entry points. Blocks carry dense
+    /// ids (rank in ascending start-address order, binary search for the
+    /// lookup), so popping the lowest id is the pop-minimum-address
+    /// schedule.
     fn analyze_with<P: Probe>(
         disasm: &Disassembly,
         cfg: &Cfg,
@@ -320,89 +288,50 @@ impl AbsInt {
         let window = u16::from(stack_window_slots) * 8;
         let starts: Vec<u64> = cfg.blocks.keys().copied().collect();
         let id_of = |addr: u64| starts.binary_search(&addr).ok();
-        let mut arena: Vec<AbsState> = Vec::with_capacity(starts.len());
-        let mut block_in: Vec<Option<u32>> = vec![None; starts.len()];
-        let mut owned: Vec<bool> = vec![false; starts.len()];
+        let mut block_in: Vec<Option<AbsState>> = vec![None; starts.len()];
         let mut visits: Vec<u32> = vec![0; starts.len()];
         let mut work = Worklist::new(starts.len());
         for &e in &disasm.entries {
             if let Some(id) = id_of(e) {
-                if block_in[id].is_none() {
-                    arena.push(AbsState::top());
-                    block_in[id] = Some((arena.len() - 1) as u32);
-                    owned[id] = true;
-                }
+                block_in[id].get_or_insert_with(AbsState::top);
                 work.insert(id);
             }
         }
 
-        // Scratch out-state, refreshed per pop (the one unavoidable
-        // copy per fixpoint iteration — `clone_from` reuses its
-        // allocations where the collections allow).
+        // Out-state of the popped block, refreshed per pop with
+        // `clone_from` so its allocations are reused.
         let mut scratch = AbsState::top();
 
         while let Some(id) = work.pop_first() {
             probe.block_popped();
             visits[id] += 1;
-            let cur = block_in[id].expect("queued block has a state") as usize;
             if visits[id] > BLOCK_VISIT_CAP {
-                if owned[id] {
-                    arena[cur] = AbsState::top();
-                } else {
-                    arena.push(AbsState::top());
-                    block_in[id] = Some((arena.len() - 1) as u32);
-                    owned[id] = true;
-                }
+                block_in[id] = Some(AbsState::top());
             }
-            let in_id = block_in[id].expect("queued block has a state");
-            scratch.clone_from(&arena[in_id as usize]);
-            probe.state_cloned();
-            let start = starts[id];
-            let block = &cfg.blocks[&start];
-            let mut dirty = false;
+            scratch.clone_from(block_in[id].as_ref().expect("queued block has a state"));
+            let block = &cfg.blocks[&starts[id]];
             for &at in &block.insts {
-                let d = &disasm.insts[&at];
                 if let Some(tid) = resolved_call_target(cg, at).and_then(id_of) {
-                    let seed = scratch.call_seed();
-                    let m = merge_into(
-                        &mut arena,
-                        &mut block_in,
-                        &mut owned,
-                        probe,
-                        tid,
-                        &seed,
-                        None,
-                    );
-                    if m.changed {
+                    let changed = merge_into(&mut block_in[tid], &scratch.call_seed());
+                    probe.state_merged(changed);
+                    if changed {
                         work.insert(tid);
-                        // A self-targeted seed may have joined into our
-                        // own (owned) slot in place; don't offer that
-                        // slot's id to successors as the clean in-state.
-                        dirty |= tid == id;
                     }
                 }
-                dirty |= transfer(&mut scratch, d.inst, at, window, cg, summaries);
+                transfer(
+                    &mut scratch,
+                    disasm.insts[&at].inst,
+                    at,
+                    window,
+                    cg,
+                    summaries,
+                );
             }
-            // A clean chain means the out-state *is* the in-state, so
-            // successors may share its arena id.
-            let out_id = if dirty { None } else { Some(in_id) };
             for &succ in &block.succs {
                 if let Some(sid) = id_of(succ) {
-                    let m = merge_into(
-                        &mut arena,
-                        &mut block_in,
-                        &mut owned,
-                        probe,
-                        sid,
-                        &scratch,
-                        out_id,
-                    );
-                    if m.shared {
-                        // Two blocks now reference the slot; neither may
-                        // join into it in place.
-                        owned[id] = false;
-                    }
-                    if m.changed {
+                    let changed = merge_into(&mut block_in[sid], &scratch);
+                    probe.state_merged(changed);
+                    if changed {
                         work.insert(sid);
                     }
                 }
@@ -411,30 +340,15 @@ impl AbsInt {
         probe.fixpoint_done();
 
         // Converged: materialise per-instruction pre-states in order.
-        // Instructions whose transfer left the state untouched share
-        // the previous arena id; only a lattice-moving instruction
-        // interns a fresh state.
         let mut state_in = BTreeMap::new();
-        for (id, (start, block)) in cfg.blocks.iter().enumerate() {
-            debug_assert_eq!(*start, starts[id]);
-            let Some(mut cur_id) = block_in[id] else {
+        for (block, state) in cfg.blocks.values().zip(block_in) {
+            let Some(mut state) = state else {
                 continue;
             };
-            scratch.clone_from(&arena[cur_id as usize]);
-            probe.state_cloned();
-            let mut dirty = false;
             for &at in &block.insts {
-                if dirty {
-                    arena.push(scratch.clone());
-                    probe.state_cloned();
-                    cur_id = (arena.len() - 1) as u32;
-                    dirty = false;
-                } else {
-                    probe.state_shared();
-                }
-                state_in.insert(at, cur_id);
-                dirty |= transfer(
-                    &mut scratch,
+                state_in.insert(at, state.clone());
+                transfer(
+                    &mut state,
                     disasm.insts[&at].inst,
                     at,
                     window,
@@ -444,81 +358,25 @@ impl AbsInt {
             }
         }
         probe.materialize_done();
-        AbsInt {
-            states: arena,
-            state_in,
-        }
+        AbsInt { state_in }
     }
 }
 
-/// What [`merge_into`] did: whether the join moved the target's lattice
-/// (re-queue it) and whether the incoming state was adopted by arena id
-/// (the donor must then give up in-place mutation rights).
-struct MergeOutcome {
-    changed: bool,
-    shared: bool,
-}
-
-/// Merges `state` into block `id`'s in-state under the copy-on-write
-/// discipline. `src` carries the incoming state's arena id when it is
-/// already interned (a clean out-state); a first merge then shares the
-/// id instead of cloning. Joins mutate in place only when the target
-/// owns its slot; otherwise the joined state is interned fresh so
-/// sharers never observe the write. Merging into an address with no
-/// block used to park a state in the map that nothing ever read; the
-/// dense arena just skips it.
-fn merge_into<P: Probe>(
-    arena: &mut Vec<AbsState>,
-    block_in: &mut [Option<u32>],
-    owned: &mut [bool],
-    probe: &mut P,
-    id: usize,
-    state: &AbsState,
-    src: Option<u32>,
-) -> MergeOutcome {
-    let outcome = match block_in[id] {
-        Some(cur) => {
-            let old = &arena[cur as usize];
+/// Joins `state` into a block's in-state, returning whether the in-state
+/// moved (the block must then be re-queued).
+fn merge_into(slot: &mut Option<AbsState>, state: &AbsState) -> bool {
+    match slot {
+        Some(old) => {
             let joined = old.join(state);
-            let changed = &joined != old;
-            if changed {
-                if owned[id] {
-                    arena[cur as usize] = joined;
-                } else {
-                    arena.push(joined);
-                    block_in[id] = Some((arena.len() - 1) as u32);
-                    owned[id] = true;
-                }
-            }
-            MergeOutcome {
-                changed,
-                shared: false,
-            }
+            let changed = joined != *old;
+            *old = joined;
+            changed
         }
-        None => match src {
-            Some(sid) => {
-                block_in[id] = Some(sid);
-                owned[id] = false;
-                probe.state_shared();
-                MergeOutcome {
-                    changed: true,
-                    shared: true,
-                }
-            }
-            None => {
-                arena.push(state.clone());
-                block_in[id] = Some((arena.len() - 1) as u32);
-                owned[id] = true;
-                probe.state_cloned();
-                MergeOutcome {
-                    changed: true,
-                    shared: false,
-                }
-            }
-        },
-    };
-    probe.state_merged(outcome.changed);
-    outcome
+        None => {
+            *slot = Some(state.clone());
+            true
+        }
+    }
 }
 
 /// Resolved in-image destination of a call instruction at `at`, if any.
@@ -527,8 +385,6 @@ fn resolved_call_target(cg: &CallGraph, at: u64) -> Option<u64> {
 }
 
 /// One-instruction transfer function (mutates `state` in place).
-/// Returns whether the state actually moved — the copy-on-write driver
-/// uses this dirty bit to share untouched states by arena id.
 fn transfer(
     state: &mut AbsState,
     inst: Inst,
@@ -536,7 +392,7 @@ fn transfer(
     window: u16,
     cg: &CallGraph,
     summaries: &Summaries,
-) -> bool {
+) {
     match inst {
         Inst::MovImm32 { reg, imm } => state.set_reg(
             reg,
@@ -597,36 +453,26 @@ fn transfer(
             } else {
                 None
             };
-            let stale: Vec<u8> = state
+            state
                 .slots
-                .range(lo..=hi)
-                .map(|(&k, _)| k)
-                .filter(|&k| k != disp)
-                .collect();
-            let mut changed = !stale.is_empty();
-            for k in stale {
-                state.slots.remove(&k);
-            }
+                .retain(|&k, _| k == disp || !(lo..=hi).contains(&k));
             match new {
-                Some(v) => changed |= state.slots.insert(disp, v) != Some(v),
-                None => changed |= state.slots.remove(&disp).is_some(),
-            }
-            changed
+                Some(v) => state.slots.insert(disp, v),
+                None => state.slots.remove(&disp),
+            };
         }
         Inst::Syscall => {
-            let mut changed = state.set_reg(Reg::Rax, AbsValue::Top);
-            changed |= state.set_reg(Reg::Rcx, AbsValue::Top);
-            changed | state.clear_slots()
+            state.set_reg(Reg::Rax, AbsValue::Top);
+            state.set_reg(Reg::Rcx, AbsValue::Top);
+            state.clear_slots();
         }
         Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. } => {
-            let mut changed = match resolved_call_target(cg, at) {
+            match resolved_call_target(cg, at) {
                 Some(target) => {
                     let s = summaries.summary(target);
                     let pre_rax = state.reg(Reg::Rax);
-                    let mut changed = false;
                     for code in 0..8u8 {
                         if s.clobbers & (1 << code) != 0 {
-                            changed |= state.regs[code as usize] != AbsValue::Top;
                             state.regs[code as usize] = AbsValue::Top;
                         }
                     }
@@ -643,24 +489,20 @@ fn transfer(
                             }
                         }
                     };
-                    changed | state.set_reg(Reg::Rax, rax)
+                    state.set_reg(Reg::Rax, rax);
                 }
-                None => {
-                    let changed = state.regs != [AbsValue::Top; 8];
-                    state.regs = [AbsValue::Top; 8];
-                    changed
-                }
-            };
-            changed |= state.clear_slots();
-            changed
+                None => state.regs = [AbsValue::Top; 8],
+            }
+            state.clear_slots();
         }
         Inst::PushRbp | Inst::AddRspImm8 { .. } | Inst::SubRspImm8 { .. } => {
-            state.set_reg(Reg::Rsp, AbsValue::Top) | state.clear_slots()
+            state.set_reg(Reg::Rsp, AbsValue::Top);
+            state.clear_slots();
         }
         Inst::PopRbp | Inst::Leave => {
-            state.set_reg(Reg::Rsp, AbsValue::Top)
-                | state.set_reg(Reg::Rbp, AbsValue::Top)
-                | state.clear_slots()
+            state.set_reg(Reg::Rsp, AbsValue::Top);
+            state.set_reg(Reg::Rbp, AbsValue::Top);
+            state.clear_slots();
         }
         Inst::Nop
         | Inst::Ret
@@ -669,7 +511,7 @@ fn transfer(
         | Inst::TestEaxEax
         | Inst::JmpRel8 { .. }
         | Inst::JmpRel32 { .. }
-        | Inst::JccRel8 { .. } => false,
+        | Inst::JccRel8 { .. } => {}
     }
 }
 
@@ -756,6 +598,40 @@ mod tests {
         let (d, ai) = run(a);
         let syscalls = syscall_addrs(&d);
         assert_eq!(ai.rax_at(syscalls[0]), AbsValue::Interval { lo: 0, hi: 60 });
+    }
+
+    #[test]
+    fn self_recursive_call_seed_joins_into_its_own_block() {
+        // `f` calls itself from its entry block, so the recursive call's
+        // seed (rdi = 39) joins into the block being transferred, on top
+        // of the outer caller's rdi = 60.
+        let mut a = Assembler::new(0x1000);
+        a.label("main").unwrap();
+        a.inst(Inst::MovImm32 {
+            reg: Reg::Rdi,
+            imm: 60,
+        });
+        a.call_to("f");
+        a.inst(Inst::Ret);
+        a.label("f").unwrap();
+        a.inst(Inst::MovRegReg64 {
+            dst: Reg::Rax,
+            src: Reg::Rdi,
+        });
+        a.inst(Inst::Syscall);
+        a.inst(Inst::MovImm32 {
+            reg: Reg::Rdi,
+            imm: 39,
+        });
+        a.call_to("f");
+        a.inst(Inst::Ret);
+        let (d, ai) = run(a);
+        let syscalls = syscall_addrs(&d);
+        assert_eq!(syscalls.len(), 1);
+        assert_eq!(
+            ai.rax_at(syscalls[0]),
+            AbsValue::Interval { lo: 39, hi: 60 }
+        );
     }
 
     #[test]

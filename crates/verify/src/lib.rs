@@ -14,7 +14,7 @@
 //! over [`xc_isa`] images:
 //!
 //! 1. [`disasm`] — hybrid linear-sweep + recursive-descent disassembly,
-//! 2. [`cfg`] — a basic-block control-flow graph whose direct-branch
+//! 2. [`cfg`](mod@cfg) — a basic-block control-flow graph whose direct-branch
 //!    target set is *complete* (the modelled subset has no indirect
 //!    jumps; see [`xc_isa::inst::BranchKind`]),
 //! 3. [`dataflow`] — forward `%rax` syscall-number reaching values and

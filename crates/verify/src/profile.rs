@@ -23,19 +23,6 @@ pub(crate) trait Probe {
         let _ = changed;
     }
 
-    /// An `AbsState` was physically copied (scratch refresh, first-merge
-    /// intern, or a materialisation intern). Together with
-    /// [`Probe::state_shared`] this accounts for every point the
-    /// pre-copy-on-write driver cloned: `cloned + shared` is the old
-    /// clone count.
-    #[inline]
-    fn state_cloned(&mut self) {}
-
-    /// An `AbsState` was adopted by arena id where the pre-CoW driver
-    /// would have cloned it.
-    #[inline]
-    fn state_shared(&mut self) {}
-
     /// The worklist drained — the fixpoint phase is over.
     #[inline]
     fn fixpoint_done(&mut self) {}
@@ -61,12 +48,6 @@ pub struct AbsIntProfile {
     pub merges: u64,
     /// Merges that moved the lattice and re-queued a block.
     pub merges_changed: u64,
-    /// `AbsState`s physically copied (scratch refreshes plus arena
-    /// interns). `states_cloned + states_shared` is what the
-    /// pre-copy-on-write driver cloned.
-    pub states_cloned: u64,
-    /// `AbsState`s adopted by arena id instead of cloned.
-    pub states_shared: u64,
     /// Wall time of the fixpoint phase, in nanoseconds.
     pub fixpoint_nanos: u64,
     /// Wall time of the materialisation phase, in nanoseconds.
@@ -81,8 +62,6 @@ impl AbsIntProfile {
             pops: 0,
             merges: 0,
             merges_changed: 0,
-            states_cloned: 0,
-            states_shared: 0,
             fixpoint_nanos: 0,
             materialize_nanos: 0,
             started: Instant::now(),
@@ -101,16 +80,6 @@ impl Probe for AbsIntProfile {
     fn state_merged(&mut self, changed: bool) {
         self.merges += 1;
         self.merges_changed += u64::from(changed);
-    }
-
-    #[inline]
-    fn state_cloned(&mut self) {
-        self.states_cloned += 1;
-    }
-
-    #[inline]
-    fn state_shared(&mut self) {
-        self.states_shared += 1;
     }
 
     fn fixpoint_done(&mut self) {

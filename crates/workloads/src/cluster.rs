@@ -86,107 +86,30 @@ impl ClusterParams {
 /// Relative half-width of the uniform jitter on every service time.
 const SERVICE_JITTER: f64 = 0.15;
 
-/// Flat per-domain bounded FIFOs plus in-service flags.
-///
-/// Every domain used to own a `VecDeque` (cap-bounded by the drop
-/// check), so a 2 880-domain host world was 2 880 separate ring
-/// buffers. This packs them into **one** slab: `stride` slots per
-/// domain (the queue cap rounded up to a power of two) with per-domain
-/// wrapping `u32` head/tail counters, so `len = tail - head` and the
-/// slot index is `d * stride + (counter & (stride - 1))`. The logical
-/// queue discipline — FIFO order, drop when `len >= queue_cap` — is
-/// exactly the old per-deque behaviour (a unit test pins the cap-64
-/// drop boundary against a `VecDeque` model).
+/// Per-domain FIFOs of arrival timestamps plus in-service flags. The
+/// queue cap is the arrival handler's drop check; the deques only hold
+/// what it admits.
 #[derive(Default)]
 struct DomainFifos {
-    /// All domains' ring storage, `stride` slots each. Slack beyond the
-    /// live `domains * stride` prefix (from a larger earlier grid) is
-    /// dead data — indexing never leaves a domain's own window.
-    slots: Vec<Nanos>,
-    /// Per-domain head counters (wrapping).
-    heads: Vec<u32>,
-    /// Per-domain tail counters (wrapping).
-    tails: Vec<u32>,
+    /// Pending arrivals per domain. Deques past the configured domain
+    /// count (from a larger earlier grid) are kept for reuse.
+    queues: Vec<VecDeque<Nanos>>,
     /// Whether each domain has a request on a core.
     in_service: Vec<bool>,
-    /// Power-of-two slots per domain (≥ the logical queue cap).
-    stride: usize,
 }
 
 impl DomainFifos {
-    /// Number of domains currently configured.
-    #[cfg(test)]
-    fn domains(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Queued requests in domain `d`'s FIFO.
-    #[inline]
-    fn len(&self, d: usize) -> usize {
-        self.tails[d].wrapping_sub(self.heads[d]) as usize
-    }
-
-    /// Whether domain `d`'s FIFO is empty.
-    #[inline]
-    fn is_empty(&self, d: usize) -> bool {
-        self.heads[d] == self.tails[d]
-    }
-
-    /// Appends an arrival timestamp to domain `d`'s FIFO. The caller
-    /// enforces the logical cap; the ring itself never overflows
-    /// because `len <= queue_cap <= stride`.
-    #[inline]
-    fn push(&mut self, d: usize, v: Nanos) {
-        debug_assert!(self.len(d) < self.stride, "ring overfull");
-        let t = self.tails[d];
-        self.slots[d * self.stride + (t as usize & (self.stride - 1))] = v;
-        self.tails[d] = t.wrapping_add(1);
-    }
-
-    /// Pops the oldest arrival from domain `d`'s FIFO.
-    #[inline]
-    fn pop(&mut self, d: usize) -> Nanos {
-        debug_assert!(!self.is_empty(d), "ready domain has pending work");
-        let h = self.heads[d];
-        let v = self.slots[d * self.stride + (h as usize & (self.stride - 1))];
-        self.heads[d] = h.wrapping_add(1);
-        v
-    }
-
-    /// Whether domain `d` has a request on a core.
-    #[inline]
-    fn in_service(&self, d: usize) -> bool {
-        self.in_service[d]
-    }
-
-    #[inline]
-    fn set_in_service(&mut self, d: usize, v: bool) {
-        self.in_service[d] = v;
-    }
-
-    /// Reconfigures for `domains` domains with logical cap `queue_cap`,
-    /// emptying every FIFO (counters to zero) while keeping the slab
-    /// allocation when it is already large enough. Stale slot contents
-    /// are unreachable once `head == tail`, so they are left in place.
-    fn reset(&mut self, domains: usize, queue_cap: usize) {
-        self.stride = queue_cap.max(1).next_power_of_two();
-        let need = domains * self.stride;
-        if self.slots.len() < need {
-            self.slots.resize(need, Nanos::ZERO);
+    /// Reconfigures for `domains` domains, emptying every FIFO while
+    /// keeping the deques' allocations.
+    fn reset(&mut self, domains: usize) {
+        if self.queues.len() < domains {
+            self.queues.resize_with(domains, VecDeque::new);
         }
-        self.heads.clear();
-        self.heads.resize(domains, 0);
-        self.tails.clear();
-        self.tails.resize(domains, 0);
+        for q in &mut self.queues[..domains] {
+            q.clear();
+        }
         self.in_service.clear();
         self.in_service.resize(domains, false);
-    }
-
-    /// Whether the slab already covers `domains` domains at `queue_cap`
-    /// (i.e. a [`DomainFifos::reset`] would not allocate).
-    fn covers(&self, domains: usize, queue_cap: usize) -> bool {
-        let stride = queue_cap.max(1).next_power_of_two();
-        self.slots.len() >= domains * stride && self.heads.capacity() >= domains
     }
 }
 
@@ -207,7 +130,7 @@ struct HostWorld<'a> {
     table: PlatformCosts,
     jitter: f64,
     arrival_mean_ns: f64,
-    /// Domain popularity over this host's domains (the ring slab's
+    /// Domain popularity over this host's domains (the FIFOs'
     /// configured domain count always matches its range).
     zipf: &'a ZipfTable,
     queue_cap: usize,
@@ -252,8 +175,10 @@ impl HostWorld<'_> {
     }
 
     fn start(&mut self, d: u32, queue: &mut EventQueue<Finish>) {
-        let issued = self.fifos.pop(d as usize);
-        self.fifos.set_in_service(d as usize, true);
+        let issued = self.fifos.queues[d as usize]
+            .pop_front()
+            .expect("ready domain has pending work");
+        self.fifos.in_service[d as usize] = true;
         self.busy_cores += 1;
         let st = self.sample_service();
         self.busy_ns += st.as_nanos();
@@ -268,9 +193,9 @@ impl World for HostWorld<'_> {
         let Finish { domain, issued } = event;
         self.completed += 1;
         self.latency.record_nanos((now - issued) + self.table.rtt);
-        self.fifos.set_in_service(domain as usize, false);
+        self.fifos.in_service[domain as usize] = false;
         self.busy_cores -= 1;
-        if !self.fifos.is_empty(domain as usize) {
+        if !self.fifos.queues[domain as usize].is_empty() {
             // Re-compete for a core behind anyone already waiting.
             self.core_queue.push_back(domain);
         }
@@ -291,16 +216,16 @@ impl World for HostWorld<'_> {
         queue.reserve_lane_in(Nanos::from_nanos(gap as u64));
         self.arrivals += 1;
         let d = self.zipf.sample(&mut self.rng) as u32;
-        let du = d as usize;
-        if self.fifos.in_service(du) || !self.fifos.is_empty(du) {
+        let fifo = &mut self.fifos.queues[d as usize];
+        if self.fifos.in_service[d as usize] || !fifo.is_empty() {
             // Busy or already in line: join the domain FIFO.
-            if self.fifos.len(du) >= self.queue_cap {
+            if fifo.len() >= self.queue_cap {
                 self.dropped += 1;
             } else {
-                self.fifos.push(du, now);
+                fifo.push_back(now);
             }
         } else {
-            self.fifos.push(du, now);
+            fifo.push_back(now);
             self.dispatch(d, queue);
         }
     }
@@ -410,10 +335,10 @@ pub fn arena_counters() -> (u64, u64) {
     )
 }
 
-/// Reusable backing storage for [`HostWorld`]s and their event queues.
+/// Reusable backing storage for `HostWorld`s and their event queues.
 ///
 /// Every host in the cluster grid needs the same heap structure — the
-/// flat [`DomainFifos`] ring slab, a core run queue and a calendar-queue
+/// `DomainFifos` deques, a core run queue and a calendar-queue
 /// wheel — so the arena keeps one set alive and hands it out reset
 /// instead of letting each host reallocate it. The resets restore the
 /// exact logical state of fresh storage ([`EventQueue::reset`] rewinds
@@ -437,25 +362,18 @@ impl WorldArena {
     }
 
     /// Resets the pooled storage for a world of `domains` domains with
-    /// per-domain queue cap `queue_cap` and Zipf skew `theta`, and bumps
-    /// the global alloc/reuse counters. The ring slab keeps its buffer
-    /// whenever it already covers the requested geometry; the Zipf table
-    /// is rebuilt only when `domains` or `theta` differs from the cached
-    /// one.
-    fn prepare(
-        &mut self,
-        domains: usize,
-        queue_cap: usize,
-        theta: f64,
-        queue_capacity: usize,
-    ) -> EventQueue<Finish> {
-        let reused = self.queue.is_some() && self.fifos.covers(domains, queue_cap);
+    /// Zipf skew `theta`, and bumps the global alloc/reuse counters. The
+    /// FIFOs keep their deques whenever there are already enough; the
+    /// Zipf table is rebuilt only when `domains` or `theta` differs from
+    /// the cached one.
+    fn prepare(&mut self, domains: usize, theta: f64, queue_capacity: usize) -> EventQueue<Finish> {
+        let reused = self.queue.is_some() && self.fifos.queues.len() >= domains;
         if reused {
             ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
         } else {
             ARENA_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        self.fifos.reset(domains, queue_cap);
+        self.fifos.reset(domains);
         self.core_queue.clear();
         let n = domains as u64;
         let stale = self
@@ -540,7 +458,7 @@ fn run_host(
     }
     let n = params.domains_per_host as usize;
     let queue_cap = params.queue_cap.max(1);
-    let queue = arena.prepare(n, queue_cap, params.zipf_theta, n + 2);
+    let queue = arena.prepare(n, params.zipf_theta, n + 2);
     let world = HostWorld {
         table: *table,
         jitter: SERVICE_JITTER,
@@ -566,7 +484,7 @@ fn run_host(
         arrivals: world.arrivals,
         completed: world.completed,
         dropped: world.dropped,
-        queued: (0..n).map(|d| world.fifos.len(d) as u64).sum(),
+        queued: world.fifos.queues[..n].iter().map(|q| q.len() as u64).sum(),
         in_service: u64::from(world.busy_cores),
         busy_ns: world.busy_ns,
     };
@@ -634,57 +552,27 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ring_matches_vecdeque_at_cap_64_drop_boundary() {
-        // Drive the flat ring and a per-domain VecDeque model through an
-        // identical operation stream with the production drop rule
-        // (`len >= cap` ⇒ drop) at the study's cap of 64, crossing the
-        // boundary repeatedly: fill past full, drain partially, refill.
-        const CAP: usize = 64;
-        const DOMS: usize = 3;
-        let mut ring = DomainFifos::default();
-        ring.reset(DOMS, CAP);
-        assert_eq!(ring.domains(), DOMS);
-        let mut model: Vec<VecDeque<Nanos>> = vec![VecDeque::new(); DOMS];
-        let mut rng = Rng::new(7);
-        let mut drops = (0u64, 0u64);
-        for step in 0..10_000u64 {
-            let d = (rng.next_u64() % DOMS as u64) as usize;
-            let push = !rng.next_u64().is_multiple_of(3); // pushes outnumber pops
-            if push {
-                let v = Nanos::from_nanos(step);
-                if ring.len(d) >= CAP {
-                    drops.0 += 1;
-                } else {
-                    ring.push(d, v);
-                }
-                if model[d].len() >= CAP {
-                    drops.1 += 1;
-                } else {
-                    model[d].push_back(v);
-                }
-            } else if !ring.is_empty(d) {
-                assert_eq!(Some(ring.pop(d)), model[d].pop_front());
-            } else {
-                assert!(model[d].is_empty());
-            }
-            assert_eq!(ring.len(d), model[d].len());
-            assert_eq!(ring.is_empty(d), model[d].is_empty());
-        }
-        assert_eq!(drops.0, drops.1);
-        assert!(drops.0 > 0, "stream must actually hit the drop boundary");
-        // Residual contents drain in identical FIFO order.
-        for (d, m) in model.iter_mut().enumerate() {
-            while let Some(v) = m.pop_front() {
-                assert_eq!(ring.pop(d), v);
-            }
-            assert!(ring.is_empty(d));
-        }
-        // A reset empties every FIFO without reallocating the slab.
-        ring.push(1, Nanos::from_nanos(9));
-        ring.set_in_service(2, true);
-        assert!(ring.covers(DOMS, CAP));
-        ring.reset(DOMS, CAP);
-        assert!(ring.is_empty(1) && !ring.in_service(2));
+    fn saturated_host_keeps_every_fifo_within_its_cap() {
+        // gVisor at overload: arrivals outrun the cores, so every domain
+        // FIFO fills to the cap and the drop check fires.
+        let t = table(Platform::gvisor(CloudEnv::LocalCluster, true));
+        let p = ClusterParams {
+            clients: 4_000_000,
+            ..params()
+        };
+        let mut arena = WorldArena::new();
+        let mut latency = Histogram::new();
+        let l = run_host(&mut arena, &t, &p, 0, &mut latency).expect("host 0 has clients");
+        let fifos = &arena.fifos.queues[..p.domains_per_host as usize];
+        assert!(fifos.iter().all(|q| q.len() <= p.queue_cap), "{l:?}");
+        assert!(l.dropped > 0, "overload must drop: {l:?}");
+        assert_eq!(l.queued, fifos.iter().map(|q| q.len() as u64).sum::<u64>());
+        assert_eq!(
+            l.arrivals,
+            l.completed + l.dropped + l.queued + l.in_service,
+            "{l:?}"
+        );
+        assert_eq!(latency.count(), l.completed);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!
 //! The closed loop is modelled the way the real servers are deployed:
 //! each worker process owns its accept queue (`SO_REUSEPORT`-style), so
-//! worker `w` of `P` serves a fixed
-//! [`shard_share`](xc_sim::stats::shard_share) of the connections with
-//! its own RNG substream, independent of every other worker. The workers
+//! worker `w` of `P` serves a fixed [`shard_share`] of the connections
+//! with its own RNG substream, independent of every other worker. The workers
 //! run one after another and their histograms merge in worker order;
 //! parallelism lives one level up, in the harness's cell runner.
 

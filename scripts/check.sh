@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository hygiene gate: formatting, lints, the workspace test suite
+# Repository hygiene gate: formatting, lints, rustdoc, the workspace test suite
 # (unit, property, determinism and golden-digest tests), serial-vs-parallel
 # byte gates for the combined acceptance harness and the chaos and
 # cluster studies, and perfbench's tests plus a 2-second reference-digest
@@ -19,6 +19,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (workspace, warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 
 echo "== workspace tests (unit, property, determinism, golden digests) =="
 cargo test -q --workspace
@@ -91,8 +94,11 @@ fi
 echo "ok: cluster study byte-identical at --jobs 1 and --jobs $jobs"
 
 echo "== coverage regression gate: verify_lint --quick (golden digest, coverage floor, Unknown ceiling) =="
+# Run from outside the repository: the golden digest path must not
+# depend on the working directory.
 cargo build -q --release -p xc-bench --bin verify_lint
-target/release/verify_lint --quick
+lint="$PWD/target/release/verify_lint"
+(cd "$tmp" && "$lint" --quick)
 
 echo "== perfbench: its unit tests and a reference-digest smoke per workload =="
 # perfbench exits 0 even when cells fail, so the smoke reads the verdict
